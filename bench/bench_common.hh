@@ -149,14 +149,17 @@ applyObservability(const BenchArgs &args, SystemConfig &config)
  * Parallel-engine telemetry snapshot of one run (DESIGN.md §14).
  * All zeros when the run stayed single-queue (no engine) or the
  * build has PCIESIM_PROFILING=0; every field except syncFraction
- * is a pure function of simulated history, and syncFraction reads
- * 0 under --no-timing — so records stay byte-deterministic.
+ * and serialMs is a pure function of simulated history, and those
+ * two read 0 under --no-timing — so records stay
+ * byte-deterministic.
  */
 struct ParallelTelemetry
 {
     double domains = 0.0;
     double windows = 0.0;
     double syncFraction = 0.0;
+    /** Wall ms in the barrier's serial step (0 under --no-timing). */
+    double serialMs = 0.0;
     double loadImbalance = 0.0;
     double mailboxOps = 0.0;
 };
@@ -171,6 +174,7 @@ readParallelTelemetry(Simulation &sim)
     t.domains = static_cast<double>(eng->numDomains());
     t.windows = static_cast<double>(eng->windowsSynced());
     t.syncFraction = eng->syncOverheadFraction();
+    t.serialMs = eng->serialMsEst();
     t.loadImbalance = eng->loadImbalance();
     for (unsigned d = 0; d < eng->numDomains(); ++d)
         t.mailboxOps += static_cast<double>(eng->mailboxSent(d));

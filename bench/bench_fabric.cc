@@ -231,6 +231,7 @@ runFabric(JsonEmitter &json, const std::string &label,
                      {"lookahead_ns", quantum_ns},
                      {"windows", pt.windows},
                      {"sync_fraction", pt.syncFraction},
+                     {"serial_ms", pt.serialMs},
                      {"load_imbalance", pt.loadImbalance},
                      {"mailbox_ops", pt.mailboxOps}});
     } else {

@@ -236,6 +236,7 @@ main(int argc, char **argv)
                      {"domains", mdev.par.domains},
                      {"windows", mdev.par.windows},
                      {"sync_fraction", mdev.par.syncFraction},
+                     {"serial_ms", mdev.par.serialMs},
                      {"load_imbalance", mdev.par.loadImbalance},
                      {"mailbox_ops", mdev.par.mailboxOps}});
     }

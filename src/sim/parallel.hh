@@ -11,16 +11,23 @@
  * each other's state mid-window, so each one runs lock-free on its
  * own worker thread.
  *
- * Cross-domain scheduling goes through per-(source, destination)
- * mailboxes: the source worker appends operations during its window
- * (it is the only writer of that vector) and a single thread drains
- * all mailboxes inside the barrier's completion step, in (dest,
- * source, FIFO) order, before the next window is computed. The
- * composite ordering key for each operation is computed at post
- * time on the sending domain, so heap order on the destination is a
- * pure function of simulated history — identical for any thread
- * count (the determinism contract enforced by the tier-2 parallel
- * gate).
+ * A window costs O(active domains + mailbox ops · log), not
+ * O(domains): an indexed min-heap holds every domain's next tick,
+ * so the window start is the heap top and the run set is the heap
+ * prefix at or before the horizon. Idle domains are never visited;
+ * their stall windows are counted lazily the next time they are
+ * touched.
+ *
+ * Cross-domain scheduling goes through per-source outboxes: the
+ * source worker appends operations, tagged with their destination,
+ * during its window (it is the only writer of that vector) and a
+ * single thread drains the outboxes of the domains that ran inside
+ * the barrier's completion step, in (dest, source, FIFO) order,
+ * before the next window is computed. The composite ordering key
+ * for each operation is computed at post time on the sending
+ * domain, so heap order on the destination is a pure function of
+ * simulated history — identical for any thread count (the
+ * determinism contract enforced by the tier-2 parallel gate).
  */
 
 #ifndef PCIESIM_SIM_PARALLEL_HH
@@ -86,13 +93,14 @@ class ParallelEngine
      * is a pure function of simulated history — events executed,
      * window classification, mailbox traffic — so the counters are
      * byte-identical for any thread count. Wall-clock quantities
-     * (window execution time, barrier wait) are estimated from a
-     * 1-in-N steady_clock subsample taken only while the profiler
-     * is on (--profile) with times reported, and exposed only
-     * through dump-time Formulas that read 0 otherwise — the same
-     * contract as the profiler's estMs, so unprofiled and
-     * --no-timing dumps never contain a wall-derived value. The
-     * whole block compiles out under PCIESIM_PROFILING=0.
+     * (window execution time, barrier wait, the barrier's serial
+     * completion step) are estimated from a 1-in-N steady_clock
+     * subsample taken only while the profiler is on (--profile)
+     * with times reported, and exposed only through dump-time
+     * Formulas that read 0 otherwise — the same contract as the
+     * profiler's estMs, so unprofiled and --no-timing dumps never
+     * contain a wall-derived value. The whole block compiles out
+     * under PCIESIM_PROFILING=0.
      */
 
     /**
@@ -115,7 +123,8 @@ class ParallelEngine
      *  domain @p d. */
     std::uint64_t mailboxSent(unsigned d) const;
     std::uint64_t mailboxReceived(unsigned d) const;
-    /** Mailbox operations from @p src to @p dst (the peer matrix). */
+    /** Mailbox operations from @p src to @p dst (sparse: only
+     *  pairs that ever exchanged mail are stored). */
     std::uint64_t mailboxPair(unsigned src, unsigned dst) const;
     /** Busiest incoming peer of @p d: (src domain, op count);
      *  (d, 0) when nothing arrived. */
@@ -126,6 +135,10 @@ class ParallelEngine
      *  unless the profiler is on with times reported (--profile
      *  without --no-timing). */
     double syncOverheadFraction() const;
+    /** Estimated wall ms in the barrier's serial completion step
+     *  (mailbox drain plus next-window computation); 0 unless the
+     *  profiler is on with times reported. */
+    double serialMsEst() const;
     /** The label registered for domain @p d ("domain<d>" default). */
     const std::string &domainLabel(unsigned d) const;
     /** @} */
@@ -162,6 +175,7 @@ class ParallelEngine
         };
 
         Kind kind;
+        unsigned dst;
         Event *event;
         Tick when;
         Tick keyOrder;
@@ -169,14 +183,63 @@ class ParallelEngine
         std::function<void()> fn;
     };
 
-    std::vector<Op> &outbox(EventQueue &dst);
+    /** One drained operation: outbox_[src][index], bound for dst. */
+    struct Mail
+    {
+        unsigned dst;
+        unsigned src;
+        std::size_t index;
+    };
+
+    /**
+     * Indexed 4-ary min-heap of domain ids keyed on each domain's
+     * next tick (the layout of EventQueue's heap). Every domain
+     * holds one slot for the engine's lifetime; an empty domain
+     * sits at maxTick.
+     */
+    class NextTickHeap
+    {
+      public:
+        /** Rebuild from scratch over @p queues (O(n)). */
+        void rebuild(const std::vector<EventQueue *> &queues);
+        /** Re-key domain @p d to @p tick. */
+        void update(unsigned d, Tick tick);
+        Tick minTick() const { return tick_[heap_[0]]; }
+        /** Append every domain whose next tick is <= @p horizon
+         *  (heap order, unsorted) to @p out. */
+        void collect(Tick horizon, std::vector<unsigned> &out) const;
+        /** Audit builds: every key matches its queue's next tick. */
+        void audit(const std::vector<EventQueue *> &queues) const;
+
+      private:
+        static constexpr std::size_t arity = 4;
+
+        void siftUp(std::size_t i);
+        void siftDown(std::size_t i);
+
+        std::vector<Tick> tick_;        //!< next tick per domain
+        std::vector<unsigned> heap_;    //!< domain ids, heap order
+        std::vector<std::size_t> slot_; //!< domain -> heap slot
+    };
+
+    /** The calling worker's outbox (panics outside a window). */
+    std::vector<Op> &outbox();
     void applyMailboxes();
+    void applyOp(EventQueue &q, Op &op);
     void computeWindow(Tick max_tick);
     void enterDomain(unsigned d);
     void leaveDomain();
 
     /** One window of domain @p d: enter, run, classify, leave. */
     void runDomainWindow(unsigned d, Tick horizon);
+    /** The barrier's serial step: drain mail, pick the next window. */
+    void completeWindow(Tick max_tick);
+
+    /** Telemetry: count the windows before @p window that domain
+     *  @p d sat out unvisited as stalls if it held work. */
+    void settleStalls(unsigned d, std::uint64_t window);
+    /** Telemetry: @p ops operations drained from src to dst. */
+    void countMail(unsigned src, unsigned dst, std::uint64_t ops);
 
     /** Estimated wall ns executing windows / waiting at barriers
      *  (1-in-N subsample scaled to all windows; 0 when times are
@@ -188,10 +251,19 @@ class ParallelEngine
     const Tick quantum_;
     const unsigned threads_;
 
-    /** mail_[src * numDomains + dst]; src's worker is the only
-     *  writer during a window, the barrier completion the only
-     *  reader — the barrier itself provides the ordering. */
-    std::vector<std::vector<Op>> mail_;
+    /** outbox_[src]: operations domain src posted this window, in
+     *  post order. src's worker is the only writer during a window,
+     *  the barrier completion the only reader — the barrier itself
+     *  provides the ordering. */
+    std::vector<std::vector<Op>> outbox_;
+    /** Drain scratch, reused across windows. */
+    std::vector<Mail> drain_;
+
+    NextTickHeap nextTicks_;
+    /** Domains with work at or before the current horizon, in
+     *  ascending id order: the run set of the current window.
+     *  Written by the completion step, read by the workers. */
+    std::vector<unsigned> ready_;
 
     Tick windowStart_ = 0;
     Tick windowEnd_ = 0;
@@ -219,21 +291,33 @@ class ParallelEngine
     stats::Formula syncOverheadStat_;
     stats::Formula execMsEstStat_;
     stats::Formula syncWaitMsEstStat_;
+    stats::Formula serialMsEstStat_;
+
+    /** Windows completed over the engine's lifetime (unlike the
+     *  windows_ stat, never reset) and, per domain, the first
+     *  window whose stall classification is still unsettled. */
+    std::uint64_t windowSeq_ = 0;
+    std::vector<std::uint64_t> settled_;
 
     /** Raw accumulators behind the wall-time estimates. Windows
      *  run / sampled / sampled-ns per domain; barrier waits per
      *  worker (a worker's wait is sync overhead, not any single
-     *  domain's). Cumulative across stats epochs by design. */
+     *  domain's); the serial completion step, sampled on
+     *  windowSeq_. Cumulative across stats epochs by design. */
     std::vector<std::uint64_t> windowsRun_;
     std::vector<std::uint64_t> execSampled_;
     std::vector<std::uint64_t> execNs_;
     std::vector<std::uint64_t> barrierSeen_;
     std::vector<std::uint64_t> barrierSampled_;
     std::vector<std::uint64_t> barrierNs_;
+    std::uint64_t serialSampled_ = 0;
+    std::uint64_t serialNs_ = 0;
 
-    /** Per-(src, dst) mailbox op counts; sized n^2 alongside
-     *  mail_. Updated only in applyMailboxes (single-threaded). */
-    std::vector<std::uint64_t> pairOps_;
+    /** pairOps_[dst]: (src, mailbox op count) for every source that
+     *  ever mailed dst, ascending src. Updated only in
+     *  applyMailboxes (single-threaded). */
+    std::vector<std::vector<std::pair<unsigned, std::uint64_t>>>
+        pairOps_;
 
     /** Perfetto track names, built lazily when tracing engages. */
     std::vector<std::string> trackNames_;

@@ -6,17 +6,22 @@
  * cases here — an arrival landing exactly on a window boundary, a
  * mailed event descheduled before or after its barrier applies,
  * two domains posting to each other inside one quantum — are the
- * ones a topology only hits under rare timing alignments.
+ * ones a topology only hits under rare timing alignments — plus
+ * the mailbox apply order and the stall accounting of domains the
+ * engine skips.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
 #include "sim/invariant.hh"
 #include "sim/parallel.hh"
+#include "sim/profiler.hh"
 #include "sim/simulation.hh"
 
 using namespace pciesim;
@@ -222,6 +227,122 @@ TEST(ParallelEngineTest, ThreadCountDoesNotChangePingPong)
         return fired;
     };
     EXPECT_EQ(run(1), run(4));
+}
+
+TEST(ParallelEngineTest, MailAppliesInDestSourceFifoOrder)
+{
+    // Three sources post to one destination in the same window, and
+    // every operation targets the same event, so only the (dst,
+    // src, FIFO) apply order yields "fires once, at 700":
+    //   src 1: earliest(500), deschedule   -> idle
+    //   src 2: deschedule, earliest(700)   -> armed at 700
+    //   src 3: earliest(900)               -> no-op, 700 is earlier
+    // Sources applied high-to-low would leave it descheduled; a
+    // box applied LIFO would fire it at 900.
+    auto run = [](unsigned threads) {
+        Simulation sim;
+        for (int i = 0; i < 3; ++i)
+            sim.addDomain();
+        sim.setupParallel(threads, quantum);
+
+        std::vector<Tick> fired;
+        EventFunctionWrapper victim(
+            [&] { fired.push_back(sim.curTick()); }, "test.victim");
+        EventQueue &dst = sim.domainQueue(0);
+        auto earliest = [&](Tick when) {
+            EventQueue &src = *par::currentQueue();
+            par::activeEngine->postScheduleEarliest(
+                dst, victim, when, src.curTick(), src.nextTie());
+        };
+        auto cancel = [&] {
+            par::activeEngine->postDeschedule(dst, victim);
+        };
+        EventFunctionWrapper post1(
+            [&] {
+                earliest(500);
+                cancel();
+            },
+            "test.post1");
+        EventFunctionWrapper post2(
+            [&] {
+                cancel();
+                earliest(700);
+            },
+            "test.post2");
+        EventFunctionWrapper post3([&] { earliest(900); },
+                                   "test.post3");
+        sim.domainQueue(1).schedule(&post1, 0);
+        sim.domainQueue(2).schedule(&post2, 0);
+        sim.domainQueue(3).schedule(&post3, 0);
+
+        sim.run();
+        EXPECT_FALSE(victim.scheduled());
+        if (!prof::compiledIn)
+            return fired;
+
+        // The peer counts see the same five operations; ties for
+        // the hottest peer go to the lowest source.
+        ParallelEngine &eng = *sim.engine();
+        EXPECT_EQ(eng.mailboxReceived(0), 5u);
+        EXPECT_EQ(eng.mailboxPair(1, 0), 2u);
+        EXPECT_EQ(eng.mailboxPair(2, 0), 2u);
+        EXPECT_EQ(eng.mailboxPair(3, 0), 1u);
+        EXPECT_EQ(eng.mailboxPair(0, 1), 0u);
+        EXPECT_EQ(eng.hottestPeerOf(0),
+                  (std::pair<unsigned, std::uint64_t>{1, 2}));
+        return fired;
+    };
+    const std::vector<Tick> expected{700};
+    EXPECT_EQ(run(1), expected);
+    EXPECT_EQ(run(4), expected);
+}
+
+TEST(ParallelEngineTest, SkippedWindowsCountAsStalls)
+{
+    // Domain 0 works in each of 11 windows ([100w, 100w + 100)).
+    // Domain 1 holds one event at 950 and, from window 3, a mailed
+    // one at 450: it stalls in windows 0-3 and 5-8. Domain 2 is
+    // empty until window 3 mails it work at 600: idle-empty windows
+    // are not stalls, so it stalls only in windows 4 and 5. Idle
+    // domains are never visited, so every one of these stalls is
+    // counted for a window the domain sat out.
+    for (unsigned threads : {1u, 3u}) {
+        Simulation sim;
+        sim.addDomain();
+        sim.addDomain();
+        sim.setupParallel(threads, quantum);
+
+        int busy = 0, far = 0, mailed = 0;
+        std::function<void(int)> churn = [&](int left) {
+            ++busy;
+            if (left == 7) {
+                sim.callAt(1, 450, [&] { ++mailed; });
+                sim.callAt(2, 600, [&] { ++mailed; });
+            }
+            if (left > 0) {
+                sim.callAt(0, sim.curTick() + quantum,
+                           [&churn, left] { churn(left - 1); });
+            }
+        };
+        EventFunctionWrapper start([&] { churn(10); }, "test.start");
+        EventFunctionWrapper lone([&] { ++far; }, "test.lone");
+        sim.domainQueue(0).schedule(&start, 0);
+        sim.domainQueue(1).schedule(&lone, 950);
+
+        sim.run();
+        EXPECT_EQ(busy, 11);
+        EXPECT_EQ(far, 1);
+        EXPECT_EQ(mailed, 2);
+        if (!prof::compiledIn)
+            continue; // the flight recorder is compiled out
+
+        ParallelEngine &eng = *sim.engine();
+        EXPECT_EQ(eng.windowsSynced(), 11u) << threads;
+        EXPECT_EQ(eng.stallWindows(0), 0u) << threads;
+        EXPECT_EQ(eng.stallWindows(1), 8u) << threads;
+        EXPECT_EQ(eng.stallWindows(2), 2u) << threads;
+        EXPECT_EQ(eng.domainEvents(1), 2u) << threads;
+    }
 }
 
 TEST(ParallelEngineDeathTest, SubQuantumCrossDomainPostPanics)

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
@@ -180,4 +182,64 @@ TEST(ParallelTelemetryTest, CountersSurviveDumpAndResetEpoch)
     EXPECT_GT(eng.windowsSynced(), 0u);
     EXPECT_LT(eng.windowsSynced(), windows + 4);
     EXPECT_EQ(eng.mailboxSent(0) + eng.mailboxSent(1), 4u);
+}
+
+TEST(ParallelTelemetryTest, SparsePeerCountsAt4096Domains)
+{
+    // A 4096-domain ring, the 4096-endpoint scale: as dense (src,
+    // dst) boxes and counts this would be 16.7M mailboxes plus a
+    // 134 MB pair matrix. At tick 0 every domain d mails
+    // (d % 3) + 1 calls to its ring successor, landing one per
+    // window; domain 5 also mails domain 7 once, tying domain 6's
+    // single op so the hottest-peer tie-break shows.
+    constexpr unsigned n = 4096;
+    for (unsigned threads : {1u, 4u}) {
+        Simulation sim;
+        for (unsigned d = 1; d < n; ++d)
+            sim.addDomain();
+        sim.setupParallel(threads, quantum);
+
+        std::vector<std::unique_ptr<EventFunctionWrapper>> starts;
+        for (unsigned d = 0; d < n; ++d) {
+            starts.push_back(std::make_unique<EventFunctionWrapper>(
+                [&sim, d] {
+                    const unsigned next = (d + 1) % n;
+                    for (unsigned k = 1; k <= d % 3 + 1; ++k)
+                        sim.callAt(next, k * quantum, [] {});
+                    if (d == 5)
+                        sim.callAt(7, quantum, [] {});
+                },
+                "test.start"));
+            sim.domainQueue(d).schedule(starts.back().get(), 0);
+        }
+        sim.run();
+
+        ParallelEngine &eng = *sim.engine();
+        ASSERT_EQ(eng.numDomains(), n);
+        // Window 0 posts; windows 1..3 deliver.
+        EXPECT_EQ(eng.windowsSynced(), 4u);
+        std::uint64_t sent = 0;
+        for (unsigned d = 0; d < n; ++d) {
+            const unsigned prev = (d + n - 1) % n;
+            const std::uint64_t ops = prev % 3 + 1;
+            EXPECT_EQ(eng.mailboxPair(prev, d), ops) << d;
+            EXPECT_EQ(eng.mailboxPair(d, d), 0u) << d;
+            EXPECT_EQ(eng.mailboxPair((d + 1) % n, d), 0u) << d;
+            if (d != 7) {
+                EXPECT_EQ(eng.hottestPeerOf(d),
+                          (std::pair<unsigned, std::uint64_t>{prev,
+                                                              ops}))
+                    << d;
+            }
+            sent += eng.mailboxSent(d);
+        }
+        EXPECT_EQ(eng.mailboxPair(5, 7), 1u);
+        EXPECT_EQ(eng.mailboxPair(6, 7), 1u);
+        EXPECT_EQ(eng.hottestPeerOf(7),
+                  (std::pair<unsigned, std::uint64_t>{5, 1}));
+        EXPECT_EQ(eng.mailboxReceived(7), 2u);
+        // 1365 full cycles of (1 + 2 + 3), the leftover d = 4095
+        // (one op), and domain 5's extra.
+        EXPECT_EQ(sent, 1365u * 6u + 1u + 1u);
+    }
 }

@@ -671,6 +671,7 @@ cmdScaling(const std::vector<std::string> &args)
         double threads;
         double eps;       //!< events per second
         double sync;      //!< sync overhead fraction (-1: absent)
+        double serialMs;  //!< engine serial-step wall ms (-1: absent)
         double imbalance; //!< load imbalance (-1: absent)
     };
     // Group (bench, config-without-/tN) -> thread sweep points,
@@ -711,6 +712,7 @@ cmdScaling(const std::vector<std::string> &args)
             p.threads = thr->number;
             p.eps = rec.numberOr("events_per_sec", 0.0);
             p.sync = rec.numberOr("sync_fraction", -1.0);
+            p.serialMs = rec.numberOr("serial_ms", -1.0);
             p.imbalance = rec.numberOr("load_imbalance", -1.0);
             auto it = std::find_if(
                 groups.begin(), groups.end(),
@@ -742,9 +744,9 @@ cmdScaling(const std::vector<std::string> &args)
         if (base == 0.0 && !pts.empty())
             base = pts.front().eps;
         std::printf("== %s ==\n", key.c_str());
-        std::printf("%8s %14s %9s %11s %10s %11s\n", "threads",
+        std::printf("%8s %14s %9s %11s %10s %10s %11s\n", "threads",
                     "events/sec", "speedup", "efficiency",
-                    "sync_frac", "imbalance");
+                    "sync_frac", "serial_ms", "imbalance");
         double worst_sync = -1.0;
         for (const Point &p : pts) {
             double speedup = base > 0.0 ? p.eps / base : 0.0;
@@ -755,13 +757,17 @@ cmdScaling(const std::vector<std::string> &args)
                 std::snprintf(sync, sizeof(sync), "%.3f", p.sync);
                 worst_sync = std::max(worst_sync, p.sync);
             }
+            char serial[16] = "-";
+            if (p.serialMs > 0.0)
+                std::snprintf(serial, sizeof(serial), "%.1f",
+                              p.serialMs);
             char imb[16] = "-";
             if (p.imbalance >= 0.0)
                 std::snprintf(imb, sizeof(imb), "%.2f",
                               p.imbalance);
-            std::printf("%8g %14.3g %8.2fx %10.1f%% %10s %11s\n",
+            std::printf("%8g %14.3g %8.2fx %10.1f%% %10s %10s %11s\n",
                         p.threads, p.eps, speedup, eff * 100.0,
-                        sync, imb);
+                        sync, serial, imb);
         }
         // One-line diagnosis: where did the lost speedup go?
         const Point &last = pts.back();
