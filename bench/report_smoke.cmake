@@ -10,6 +10,10 @@
 #      optional TRAJ2 — the fabric sweep trajectory)
 #   7. `pciesim-report scaling` renders the thread-sweep records
 #      embedded in the checked-in trajectories
+#   8. malformed input is rejected with a <path>:<line> message:
+#      a truncated dump fails `pciesim-report diff`, and
+#      json_validate refuses a record with a duplicate key and one
+#      with a raw tab inside a string
 #
 # Invoked by ctest as:
 #   cmake -DBENCH_BIN=<bench> -DREPORT_BIN=<pciesim-report>
@@ -108,3 +112,43 @@ execute_process(
 if(NOT rv EQUAL 0)
     message(FATAL_ERROR "pciesim-report scaling exited ${rv}")
 endif()
+
+# Truncate the dump mid-document: the diff must fail and cite the
+# file and line where the reader stopped.
+file(READ "${WORK}_a.json" dump)
+string(LENGTH "${dump}" dump_len)
+math(EXPR half "${dump_len} / 2")
+string(SUBSTRING "${dump}" 0 ${half} dump_truncated)
+file(WRITE "${WORK}_truncated.json" "${dump_truncated}")
+execute_process(
+    COMMAND "${REPORT_BIN}" diff "${WORK}_a.json"
+        "${WORK}_truncated.json"
+    RESULT_VARIABLE rv
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+)
+if(rv EQUAL 0 OR NOT err MATCHES "_truncated\\.json:[0-9]+: ")
+    message(FATAL_ERROR
+        "pciesim-report diff of a truncated dump: exit ${rv}, "
+        "want nonzero with <path>:<line> (got: ${err})")
+endif()
+
+# json_validate must refuse what the strict reader refuses.
+foreach(case "dup_key;{\"bench\": \"a\", \"bench\": \"b\"};duplicate key"
+             "raw_tab;{\"bench\": \"a\tb\"};raw control character")
+    list(GET case 0 name)
+    list(GET case 1 record)
+    list(GET case 2 reason)
+    file(WRITE "${WORK}_${name}.json" "${record}\n")
+    execute_process(
+        COMMAND "${VALIDATOR}" "${WORK}_${name}.json"
+        RESULT_VARIABLE rv
+        OUTPUT_QUIET
+        ERROR_VARIABLE err
+    )
+    if(NOT rv EQUAL 1 OR NOT err MATCHES "${name}\\.json:1: ${reason}")
+        message(FATAL_ERROR
+            "json_validate accepted or misreported a ${name} record "
+            "(exit ${rv}: ${err})")
+    endif()
+endforeach()

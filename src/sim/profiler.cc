@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "event.hh"
+#include "json.hh"
 #include "logging.hh"
 
 namespace pciesim::prof
@@ -290,9 +291,9 @@ writeJson(std::ostream &os, std::size_t top_n)
         os << (shown++ ? ",\n    " : "\n    ");
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.3f", h.estMs());
-        os << "{\"name\": \"" << h.name << "\", \"count\": "
-           << h.count << ", \"sampled\": " << h.sampled
-           << ", \"estMs\": " << buf << "}";
+        os << "{\"name\": " << json::writeString(h.name)
+           << ", \"count\": " << h.count << ", \"sampled\": "
+           << h.sampled << ", \"estMs\": " << buf << "}";
     }
     os << (shown ? "\n  ]" : "]");
 }

@@ -1,13 +1,10 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <iomanip>
-#include <locale>
-#include <sstream>
 
 #include "invariant.hh"
+#include "json.hh"
 #include "logging.hh"
 #include "profiler.hh"
 
@@ -410,43 +407,6 @@ writeDescSuffix(std::ostream &os, const std::string &desc)
     os << "\n";
 }
 
-/** JSON-escape the simulator's stat names and descriptions. */
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-/** Finite, locale-independent JSON number (NaN/inf become 0). */
-void
-writeJsonDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    std::ostringstream tmp;
-    tmp.imbue(std::locale::classic());
-    tmp << std::setprecision(12) << v;
-    os << tmp.str();
-}
-
 } // namespace
 
 void
@@ -505,10 +465,9 @@ Registry::dumpJson(std::ostream &os, std::uint64_t cur_tick,
        << "  \"stats\": [";
     bool first = true;
     for (const auto &[name, e] : entries_) {
-        os << (first ? "\n" : ",\n") << "    {\"name\": ";
+        os << (first ? "\n" : ",\n") << "    {\"name\": "
+           << json::writeString(name) << ", \"type\": \"";
         first = false;
-        writeJsonString(os, name);
-        os << ", \"type\": \"";
         if (e.counter)
             os << "counter";
         else if (e.scalar)
@@ -522,21 +481,20 @@ Registry::dumpJson(std::ostream &os, std::uint64_t cur_tick,
         else if (e.hist)
             os << "histogram";
         os << "\", \"unit\": \"" << unitName(e.unit)
-           << "\", \"desc\": ";
-        writeJsonString(os, e.desc);
+           << "\", \"desc\": " << json::writeString(e.desc);
         if (e.counter) {
             os << ", \"value\": " << e.counter->value();
         } else if (e.scalar) {
-            os << ", \"value\": ";
-            writeJsonDouble(os, e.scalar->value());
+            os << ", \"value\": "
+               << json::writeNumber(e.scalar->value());
         } else if (e.formula) {
-            os << ", \"value\": ";
-            writeJsonDouble(os, e.formula->value());
+            os << ", \"value\": "
+               << json::writeNumber(e.formula->value());
         } else if (e.vec) {
             os << ", \"subnames\": [";
             for (std::size_t i = 0; i < e.vec->size(); ++i) {
-                os << (i ? ", " : "");
-                writeJsonString(os, elementLabel(*e.vec, i));
+                os << (i ? ", " : "")
+                   << json::writeString(elementLabel(*e.vec, i));
             }
             os << "], \"values\": [";
             for (std::size_t i = 0; i < e.vec->size(); ++i)
@@ -544,17 +502,13 @@ Registry::dumpJson(std::ostream &os, std::uint64_t cur_tick,
             os << "], \"total\": " << e.vec->total();
         } else if (e.dist) {
             os << ", \"samples\": " << e.dist->samples()
-               << ", \"mean\": ";
-            writeJsonDouble(os, e.dist->mean());
-            os << ", \"min\": ";
-            writeJsonDouble(os, e.dist->min());
-            os << ", \"max\": ";
-            writeJsonDouble(os, e.dist->max());
+               << ", \"mean\": " << json::writeNumber(e.dist->mean())
+               << ", \"min\": " << json::writeNumber(e.dist->min())
+               << ", \"max\": " << json::writeNumber(e.dist->max());
         } else if (e.hist) {
             os << ", \"samples\": " << e.hist->samples()
-               << ", \"mean\": ";
-            writeJsonDouble(os, e.hist->mean());
-            os << ", \"min\": " << e.hist->min()
+               << ", \"mean\": " << json::writeNumber(e.hist->mean())
+               << ", \"min\": " << e.hist->min()
                << ", \"max\": " << e.hist->max()
                << ", \"p50\": " << e.hist->quantile(0.50)
                << ", \"p95\": " << e.hist->quantile(0.95)

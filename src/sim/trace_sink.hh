@@ -134,7 +134,6 @@ class ChromeTraceSink : public Sink
   private:
     int tidFor(const std::string &track);
     void emit(const std::string &json);
-    static std::string escape(const std::string &s);
     static std::string tsField(Tick tick);
 
     std::ofstream os_;

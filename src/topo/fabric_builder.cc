@@ -4,6 +4,8 @@
 #include <array>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "os/mmio_probe.hh"
@@ -17,7 +19,7 @@ namespace pciesim
 namespace
 {
 
-using topo::Json;
+using Json = json::Value;
 
 [[noreturn]] void
 jfail(const std::string &src, unsigned line, const std::string &what)
@@ -333,10 +335,23 @@ parseFabricDesc(const Json &root, const std::string &source)
     return desc;
 }
 
+json::Value
+parseTopologyJson(const std::string &text, const std::string &source)
+{
+    json::Value root;
+    if (std::optional<json::Error> err = json::parse(text, root))
+        jfail(source, err->line, err->what);
+    return root;
+}
+
 FabricDesc
 loadFabricDesc(const std::string &path)
 {
-    return parseFabricDesc(topo::loadJsonFile(path), path);
+    std::ifstream in(path);
+    fatalIf(!in.good(), "topology ", path, ": cannot open file");
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return parseFabricDesc(parseTopologyJson(ss.str(), path), path);
 }
 
 //

@@ -9,10 +9,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/profiler.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -246,6 +248,33 @@ TEST(Profiler, WriteJsonTruncatesToTopN)
     prof::reset();
     prof::writeJson(empty, 8);
     EXPECT_EQ(empty.str(), "[]");
+}
+
+TEST(Profiler, WriteJsonEscapesEventNames)
+{
+    if (!prof::compiledIn)
+        GTEST_SKIP() << "built with PCIESIM_PROFILING=0";
+    ProfGuard guard;
+    prof::setReportTimes(false);
+
+    const std::string name = "up\"Link\\wire\nevent";
+    Simulation sim;
+    Ticker helper(sim, "helper", 1);
+    EventFunctionWrapper ev([] {}, name);
+    sim.initialize();
+    helper.schedule(ev, 1);
+    sim.run();
+
+    std::ostringstream os;
+    prof::writeJson(os, 8);
+    json::Value spots;
+    std::optional<json::Error> err = json::parse(os.str(), spots);
+    ASSERT_FALSE(err) << err->line << ": " << err->what << "\n"
+                      << os.str();
+    bool found = false;
+    for (const json::Value &spot : spots.arr)
+        found = found || spot.stringOr("name", "") == name;
+    EXPECT_TRUE(found) << os.str();
 }
 
 TEST(Profiler, HotSpotEstimatesScaleSampledTime)

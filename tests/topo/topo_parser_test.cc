@@ -15,7 +15,6 @@
 
 #include "sim/logging.hh"
 #include "topo/fabric_builder.hh"
-#include "topo/topo_parser.hh"
 
 using namespace pciesim;
 
@@ -44,7 +43,7 @@ fatalMsg(const std::function<void()> &fn)
 std::string
 parseMsg(const std::string &text)
 {
-    return fatalMsg([&] { topo::parseJson(text, "t.json"); });
+    return fatalMsg([&] { parseTopologyJson(text, "t.json"); });
 }
 
 /** Fatal message from parsing @p text into a FabricDesc. */
@@ -52,7 +51,7 @@ std::string
 descMsg(const std::string &text)
 {
     return fatalMsg([&] {
-        parseFabricDesc(topo::parseJson(text, "t.json"), "t.json");
+        parseFabricDesc(parseTopologyJson(text, "t.json"), "t.json");
     });
 }
 
@@ -66,7 +65,7 @@ buildMsg(const std::string &text)
 {
     return fatalMsg([&] {
         FabricDesc desc = parseFabricDesc(
-            topo::parseJson(text, "t.json"), "t.json");
+            parseTopologyJson(text, "t.json"), "t.json");
         Simulation sim;
         Fabric fabric(sim, desc);
     });
@@ -128,10 +127,19 @@ TEST(TopoParser, BadNumberFraction)
     EXPECT_NE(msg.find("bad number"), std::string::npos) << msg;
 }
 
+TEST(TopoParser, DeepNestingIsAnErrorNotACrash)
+{
+    std::string msg = parseMsg("{\n \"nodes\": " +
+                               std::string(2000000, '[') +
+                               std::string(2000000, ']') + "\n}");
+    EXPECT_NE(msg.find("topology t.json:2: nesting too deep"),
+              std::string::npos) << msg;
+}
+
 TEST(TopoParser, LinesSurviveParsing)
 {
-    topo::Json doc = topo::parseJson("{\n \"nodes\": [\n  {}\n ]\n}",
-                                     "t.json");
+    json::Value doc = parseTopologyJson(
+        "{\n \"nodes\": [\n  {}\n ]\n}", "t.json");
     ASSERT_NE(doc.find("nodes"), nullptr);
     EXPECT_EQ(doc.find("nodes")->line, 2u);
     ASSERT_EQ(doc.find("nodes")->arr.size(), 1u);
@@ -254,7 +262,7 @@ TEST(TopoDesc, TypeMismatch)
 TEST(TopoDesc, CountExpansionRoundRobin)
 {
     FabricDesc desc = parseFabricDesc(
-        topo::parseJson(
+        parseTopologyJson(
             "{ \"nodes\": ["
             " { \"name\": \"sw\", \"kind\": \"switch\","
             "   \"count\": 2, \"ports\": 2 },"
