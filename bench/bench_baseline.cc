@@ -8,7 +8,6 @@
  */
 
 #include "bench_common.hh"
-#include "topo/baseline_system.hh"
 
 using namespace bench;
 
@@ -33,7 +32,8 @@ main(int argc, char **argv)
     std::vector<double> base;
     for (auto b : blocks) {
         Simulation sim;
-        BaselineSystem system(sim, SystemConfig{});
+        Fabric system(
+            sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/baseline.json"));
         DdWorkloadParams dd;
         dd.blockBytes = b;
         WallTimer timer;
@@ -42,7 +42,7 @@ main(int argc, char **argv)
         if (!args.json)
             std::printf(" %10.3f", base.back());
         double eps = wall_ms > 0.0
-            ? static_cast<double>(sim.eventq().numProcessed()) /
+            ? static_cast<double>(sim.eventsProcessed()) /
                   (wall_ms / 1e3)
             : 0.0;
         json.record("crossbar/" + blockLabel(b),

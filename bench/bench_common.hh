@@ -32,7 +32,7 @@
 #include "sim/parallel.hh"
 #include "sim/profiler.hh"
 #include "sim/trace.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 namespace bench
 {
@@ -347,7 +347,7 @@ class WallTimer
     std::chrono::steady_clock::time_point start_;
 };
 
-/** Run dd once on the validation topology. */
+/** Run dd once on the validation topology (storage.json). */
 inline DdResult
 runDd(SystemConfig config, std::uint64_t block_bytes)
 {
@@ -355,7 +355,9 @@ runDd(SystemConfig config, std::uint64_t block_bytes)
     // Each run's record attributes that run only.
     prof::reset();
     Simulation sim;
-    StorageSystem system(sim, config);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = config;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = block_bytes;
 

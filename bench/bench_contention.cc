@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "topo/multi_device_system.hh"
 
 using namespace bench;
 
@@ -34,11 +33,11 @@ main(int argc, char **argv)
 
     for (unsigned active : {1u, 2u, 3u, 4u}) {
         Simulation sim;
-        MultiDeviceConfig cfg;
-        cfg.numDevices = 4;
-        cfg.deviceLinkWidth = 1;
-        cfg.base.upstreamLinkWidth = 4;
-        MultiDeviceSystem system(sim, cfg);
+        FabricDesc desc =
+            loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/multi_device.json");
+        desc.config.upstreamLinkWidth = 4;
+        applyObservability(args, desc.config);
+        Fabric system(sim, desc);
         WallTimer timer;
         double gbps = system.runConcurrentWrites(active, bursts, 4096);
         double wall_ms = timer.elapsedMs();
@@ -47,7 +46,7 @@ main(int argc, char **argv)
                         gbps / active);
         }
         double eps = wall_ms > 0.0
-            ? static_cast<double>(sim.eventq().numProcessed()) /
+            ? static_cast<double>(sim.eventsProcessed()) /
                   (wall_ms / 1e3)
             : 0.0;
         json.record("active" + std::to_string(active),

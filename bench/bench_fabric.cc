@@ -175,13 +175,6 @@ runFabric(JsonEmitter &json, const std::string &label,
         fabric.boot();
     }
     double wall_ms = run_timer.elapsedMs();
-    // Direct-drive runs bypass Fabric::runDd, which is where the
-    // registry export normally happens; honor --stats-json here so
-    // the determinism gates can diff the full registry.
-    if (!globalArgs().statsJsonOut.empty() &&
-        fabric.numDisks() == 0) {
-        fabric.exportStatsJson(globalArgs().statsJsonOut);
-    }
 
     unsigned endpoints = fabric.numTrafficGens() +
                          fabric.numDisks() + fabric.numNics();

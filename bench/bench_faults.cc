@@ -36,7 +36,9 @@ runFaultDd(double ber, std::uint64_t seed, std::uint64_t block_bytes)
     cfg.faultSeed = seed;
     cfg.completionTimeout = milliseconds(1);
     applyObservability(globalArgs(), cfg);
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = cfg;
+    Fabric system(sim, desc);
 
     DdWorkloadParams dd;
     dd.blockBytes = block_bytes;
@@ -45,7 +47,7 @@ runFaultDd(double ber, std::uint64_t seed, std::uint64_t block_bytes)
     WallTimer timer;
     r.dd.gbps = system.runDd(dd);
     r.dd.wall_ms = timer.elapsedMs();
-    r.dd.eventsProcessed = sim.eventq().numProcessed();
+    r.dd.eventsProcessed = sim.eventsProcessed();
     if (r.dd.wall_ms > 0.0) {
         r.dd.events_per_sec =
             static_cast<double>(r.dd.eventsProcessed) /

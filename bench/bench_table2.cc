@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "topo/nic_system.hh"
 
 using namespace bench;
 
@@ -46,17 +45,18 @@ main(int argc, char **argv)
     }
     for (unsigned rc : rc_lat) {
         Simulation sim;
-        NicSystemConfig cfg;
-        cfg.base.rcLatency = nanoseconds(rc);
-        applyObservability(args, cfg.base);
-        NicSystem system(sim, cfg);
+        FabricDesc desc =
+            loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic_loopback.json");
+        desc.config.rcLatency = nanoseconds(rc);
+        applyObservability(args, desc.config);
+        Fabric system(sim, desc);
         WallTimer timer;
         Tick t = system.measureMmioReadLatency(iters);
         double wall_ms = timer.elapsedMs();
         if (!args.json)
             std::printf(" %6.0f", ticksToNs(t));
         double eps = wall_ms > 0.0
-            ? static_cast<double>(sim.eventq().numProcessed()) /
+            ? static_cast<double>(sim.eventsProcessed()) /
                   (wall_ms / 1e3)
             : 0.0;
         const stats::Histogram *lat =

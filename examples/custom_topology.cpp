@@ -1,9 +1,9 @@
 /**
  * @file
- * Future-system exploration scenario: hand-built topology with two
- * NICs on separate root ports exchanging traffic over an Ethernet
- * wire, demonstrating (1) assembling a custom fabric from the
- * library's components and (2) concurrent DMA streams through the
+ * Future-system exploration scenario: a topology with two NICs on
+ * separate root ports exchanging traffic over an Ethernet wire,
+ * demonstrating (1) loading a fabric description and adjusting it
+ * before construction and (2) concurrent DMA streams through the
  * root complex.
  *
  *   $ ./custom_topology
@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "topo/nic_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -20,19 +20,18 @@ main()
 {
     setInformEnabled(false);
 
-    NicSystemConfig cfg;
-    cfg.twoNics = true;
-    cfg.nicLinkWidth = 1;
-    cfg.wire.rateGbps = 10.0; // make PCIe, not the wire, matter
+    // examples/topologies/nic.json: two NICs on x1 links, one wire.
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic.json");
+    desc.wire.rateGbps = 10.0; // make PCIe, not the wire, matter
 
     Simulation sim;
-    NicSystem system(sim, cfg);
+    Fabric system(sim, desc);
     system.boot();
 
     // NIC1 reflects: count received frames.
     unsigned received = 0;
     std::uint64_t bytes = 0;
-    system.driver(1).setOnReceive([&](unsigned len) {
+    system.nicDriver(1).setOnReceive([&](unsigned len) {
         ++received;
         bytes += len;
     });
@@ -46,7 +45,7 @@ main()
     unsigned completed = 0;
     Tick start = sim.curTick();
     for (unsigned i = 0; i < kFrames; ++i)
-        system.driver(0).sendFrame(kLen, [&] { ++completed; });
+        system.nicDriver(0).sendFrame(kLen, [&] { ++completed; });
     sim.run();
     Tick elapsed = sim.curTick() - start;
 

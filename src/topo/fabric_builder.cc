@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -21,6 +23,9 @@ namespace
 
 using Json = json::Value;
 
+/** 2^64, exact in a double: the first value no uint64 can hold. */
+constexpr double uint64Limit = 18446744073709551616.0;
+
 [[noreturn]] void
 jfail(const std::string &src, unsigned line, const std::string &what)
 {
@@ -38,17 +43,30 @@ needNum(const std::string &src, const std::string &key,
     return v.number;
 }
 
-std::uint64_t
+/**
+ * A non-negative integer that fits @p T; anything else (a fraction,
+ * a negative, or a value past T's maximum) is an error citing the
+ * line, never a silent truncation.
+ */
+template <typename T = std::uint64_t>
+T
 needUInt(const std::string &src, const std::string &key,
          const Json &v)
 {
     double d = needNum(src, key, v);
-    if (d < 0 || d != static_cast<double>(
-                          static_cast<std::uint64_t>(d))) {
+    if (d < 0 || d >= uint64Limit || d != std::floor(d)) {
         jfail(src, v.line,
               "key '" + key + "' must be a non-negative integer");
     }
-    return static_cast<std::uint64_t>(d);
+    auto u = static_cast<std::uint64_t>(d);
+    auto max =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (u > max) {
+        jfail(src, v.line,
+              "key '" + key + "' is out of range (at most " +
+                  std::to_string(max) + ")");
+    }
+    return static_cast<T>(u);
 }
 
 Tick
@@ -58,7 +76,10 @@ needNsTick(const std::string &src, const std::string &key,
     double d = needNum(src, key, v);
     if (d < 0)
         jfail(src, v.line, "key '" + key + "' must be >= 0");
-    return static_cast<Tick>(d * static_cast<double>(tickPerNs));
+    double ticks = d * static_cast<double>(tickPerNs);
+    if (ticks >= uint64Limit)
+        jfail(src, v.line, "key '" + key + "' is out of range");
+    return static_cast<Tick>(ticks);
 }
 
 bool
@@ -89,21 +110,17 @@ applyConfigKey(SystemConfig &c, const std::string &src,
             jfail(src, v.line, "config gen must be 1..5");
         c.gen = static_cast<PcieGen>(g);
     } else if (key == "upstream_link_width") {
-        c.upstreamLinkWidth =
-            static_cast<unsigned>(needUInt(src, key, v));
+        c.upstreamLinkWidth = needUInt<unsigned>(src, key, v);
     } else if (key == "downstream_link_width") {
-        c.downstreamLinkWidth =
-            static_cast<unsigned>(needUInt(src, key, v));
+        c.downstreamLinkWidth = needUInt<unsigned>(src, key, v);
     } else if (key == "rc_latency_ns") {
         c.rcLatency = needNsTick(src, key, v);
     } else if (key == "switch_latency_ns") {
         c.switchLatency = needNsTick(src, key, v);
     } else if (key == "port_buffer_size") {
-        c.portBufferSize =
-            static_cast<std::size_t>(needUInt(src, key, v));
+        c.portBufferSize = needUInt<std::size_t>(src, key, v);
     } else if (key == "replay_buffer_size") {
-        c.replayBufferSize =
-            static_cast<std::size_t>(needUInt(src, key, v));
+        c.replayBufferSize = needUInt<std::size_t>(src, key, v);
     } else if (key == "link_propagation_ns") {
         c.linkPropagation = needNsTick(src, key, v);
     } else if (key == "ack_immediate") {
@@ -111,8 +128,7 @@ applyConfigKey(SystemConfig &c, const std::string &src,
     } else if (key == "replay_timeout_scale") {
         c.replayTimeoutScale = needNum(src, key, v);
     } else if (key == "switch_downstream_ports") {
-        c.switchDownstreamPorts =
-            static_cast<unsigned>(needUInt(src, key, v));
+        c.switchDownstreamPorts = needUInt<unsigned>(src, key, v);
     } else if (key == "link_bit_error_rate") {
         c.linkBitErrorRate = needNum(src, key, v);
     } else if (key == "fault_seed") {
@@ -126,12 +142,11 @@ applyConfigKey(SystemConfig &c, const std::string &src,
     } else if (key == "aer_enabled") {
         c.aerEnabled = needBool(src, key, v);
     } else if (key == "aer_irq_line") {
-        c.aerIrqLine = static_cast<unsigned>(needUInt(src, key, v));
+        c.aerIrqLine = needUInt<unsigned>(src, key, v);
     } else if (key == "aer_msg_latency_ns") {
         c.aerMsgLatency = needNsTick(src, key, v);
     } else if (key == "degrade_threshold") {
-        c.degradeThreshold =
-            static_cast<unsigned>(needUInt(src, key, v));
+        c.degradeThreshold = needUInt<unsigned>(src, key, v);
     } else if (key == "degrade_window_ns") {
         c.degradeWindow = needNsTick(src, key, v);
     } else if (key == "upconfigure_delay_ns") {
@@ -141,7 +156,7 @@ applyConfigKey(SystemConfig &c, const std::string &src,
     } else if (key == "replug_delay_ns") {
         c.replugDelay = needNsTick(src, key, v);
     } else if (key == "threads") {
-        c.threads = static_cast<unsigned>(needUInt(src, key, v));
+        c.threads = needUInt<unsigned>(src, key, v);
     } else if (key == "intx_latency_ns") {
         c.intxLatency = needNsTick(src, key, v);
     } else if (key == "stats_sample_interval_ns") {
@@ -171,14 +186,13 @@ parseLinkDesc(const std::string &src, const Json &v)
         if (key == "name") {
             link.name = needStr(src, key, lv);
         } else if (key == "width") {
-            link.width = static_cast<unsigned>(needUInt(src, key, lv));
+            link.width = needUInt<unsigned>(src, key, lv);
         } else if (key == "gen") {
-            link.gen = static_cast<int>(needUInt(src, key, lv));
+            link.gen = needUInt<int>(src, key, lv);
         } else if (key == "bit_error_rate") {
             link.bitErrorRate = needNum(src, key, lv);
         } else if (key == "replay_buffer_size") {
-            link.replayBufferSize =
-                static_cast<std::size_t>(needUInt(src, key, lv));
+            link.replayBufferSize = needUInt<std::size_t>(src, key, lv);
         } else {
             jfail(src, lv.line, "unknown link key '" + key + "'");
         }
@@ -209,24 +223,21 @@ parseNodeDesc(const std::string &src, const Json &v)
         } else if (key == "parent") {
             n.parent = needStr(src, key, nv);
         } else if (key == "count") {
-            raw.count =
-                static_cast<unsigned>(needUInt(src, key, nv));
+            raw.count = needUInt<unsigned>(src, key, nv);
             if (raw.count == 0)
                 jfail(src, nv.line, "node count must be >= 1");
         } else if (key == "link") {
             n.link = parseLinkDesc(src, nv);
         } else if (key == "ports") {
-            n.ports = static_cast<unsigned>(needUInt(src, key, nv));
+            n.ports = needUInt<unsigned>(src, key, nv);
         } else if (key == "latency_ns") {
             n.latency = needNsTick(src, key, nv);
         } else if (key == "port_buffer_size") {
-            n.portBufferSize =
-                static_cast<std::size_t>(needUInt(src, key, nv));
+            n.portBufferSize = needUInt<std::size_t>(src, key, nv);
         } else if (key == "wire") {
             n.wire = needStr(src, key, nv);
         } else if (key == "chunk_size") {
-            n.chunkSize =
-                static_cast<long>(needUInt(src, key, nv));
+            n.chunkSize = needUInt<long>(src, key, nv);
         } else if (key == "media_latency_ns") {
             n.mediaLatencyNs = needNum(src, key, nv);
         } else if (key == "inter_burst_gap_ns") {
@@ -307,9 +318,23 @@ parseFabricDesc(const Json &root, const std::string &source)
 
     // Count expansion: a node with "count": N becomes N instances
     // name0..nameN-1; children naming an expanded group as their
-    // parent are distributed round-robin across it.
+    // parent are distributed round-robin across it. A count is
+    // bounded by what its parent can hold before anything is
+    // allocated: 8 root ports, or 16 ports per parent switch.
     std::map<std::string, unsigned> groups;
     for (const RawNode &r : raw) {
+        const bool at_rc = r.node.parent == "rc";
+        auto pg = groups.find(r.node.parent);
+        std::uint64_t room =
+            at_rc ? 8 : 16ull * (pg == groups.end() ? 1 : pg->second);
+        if (r.count > room) {
+            jfail(source, r.node.sourceLine,
+                  "node count " + std::to_string(r.count) +
+                      " does not fit under '" + r.node.parent +
+                      "', which supports at most " +
+                      std::to_string(room) +
+                      (at_rc ? " root ports" : " downstream ports"));
+        }
         if (r.count == 1) {
             desc.nodes.push_back(r.node);
             continue;
@@ -759,7 +784,7 @@ Fabric::buildPcie()
 
     // MemBus: CPU and IOCache in, DRAM and root complex out; the
     // MSI path exists only on fabrics with NICs (keeps NIC-less
-    // stats dumps byte-identical to the legacy classes).
+    // stats dumps free of an unused port).
     kernel_->cpuPort().bind(membus_->addSlavePort("cpuSlave"));
     ioCache_->masterPort().bind(membus_->addSlavePort("iocSlave"));
     membus_->addMasterPort("dramMaster").bind(dram_->port());
@@ -1286,9 +1311,9 @@ Fabric::buildObservability()
     }
 
     // System-level derived stats over every link's device-side
-    // interface. Opt-in per description so fabrics without them
-    // (NIC, multi-device) stay byte-identical to their legacy
-    // classes, which never registered these formulas.
+    // interface. Opt-in per description ("system_stats"): only
+    // storage.json asks for them, so NIC and multi-device dumps do
+    // not carry them.
     if (!desc_.systemStats || links_.empty())
         return;
     const bool two = links_.size() == 2;
@@ -1439,13 +1464,8 @@ Fabric::runDd(const DdWorkloadParams &dd)
     workload.run([&done] { done = true; });
     sim_.run();
     fatalIf(!done, "dd did not complete (deadlock?)");
-    // Flush the final partial epoch (without resetting, so the
-    // caller's end-of-run readouts survive), then export
-    // machine-readable stats while the workload is still alive.
-    if (dumper_)
-        dumper_->dumpEpoch(false);
-    if (!desc_.config.statsJsonOut.empty())
-        exportStatsJson(desc_.config.statsJsonOut);
+    // Export while the workload is still alive.
+    finishRun();
     return workload.throughputGbps();
 }
 
@@ -1522,6 +1542,7 @@ Fabric::runConcurrentWrites(unsigned active, unsigned bursts,
     fatalIf(completed != active,
             "concurrent run did not complete (", completed, " of ",
             active, ")");
+    finishRun();
 
     Tick elapsed = sim_.curTick() - start;
     double bytes = static_cast<double>(active) * bursts * burst_bytes;
@@ -1538,6 +1559,7 @@ Fabric::measureMmioReadLatency(unsigned iterations)
     probe.run(iterations, [&done] { done = true; });
     sim_.run();
     fatalIf(!done, "MMIO probe did not complete");
+    finishRun();
     return probe.meanLatency();
 }
 
@@ -1560,12 +1582,22 @@ Fabric::runDirectWrites(std::uint32_t bursts,
                 "direct run did not complete on '", g->name(), "' (",
                 g->burstsCompleted(), " of ", bursts, " bursts)");
     }
+    finishRun();
     Tick elapsed = sim_.curTick() - start;
     double bytes = static_cast<double>(gens_.size()) * bursts *
                    burst_bytes;
     return elapsed == 0
                ? 0.0
                : bytes * 8.0 / ticksToSeconds(elapsed) / 1e9;
+}
+
+void
+Fabric::finishRun()
+{
+    if (dumper_)
+        dumper_->dumpEpoch(false);
+    if (!desc_.config.statsJsonOut.empty())
+        exportStatsJson(desc_.config.statsJsonOut);
 }
 
 void

@@ -7,10 +7,11 @@
  * objects, wiring one event-queue domain per link so `--threads N`
  * partitioning applies to any shape automatically.
  *
- * Descriptions come from C++ (the four legacy system classes are
- * thin wrappers that build one) or from JSON files under
- * examples/topologies/ (see parseFabricDesc / loadFabricDesc and
- * the schema reference in examples/topologies/SCHEMA.md).
+ * Descriptions come from JSON: each paper topology is one file
+ * under examples/topologies/ (see parseFabricDesc / loadFabricDesc
+ * and the schema reference in examples/topologies/SCHEMA.md).
+ * Callers load a file, set desc.config, and construct a Fabric; a
+ * FabricDesc can also be filled in directly from C++.
  *
  * This header is the sanctioned registration surface between the
  * topo layer and the dev layer: topo code reaches device types
@@ -151,9 +152,8 @@ FabricDesc loadFabricDesc(const std::string &path);
  * A constructed system: owns every object the description named,
  * plus the substrate (memory bus, DRAM, PCI host, interrupt
  * controller, IO cache, kernel, and — in pcie style — the root
- * complex). Stats, golden dumps, and parallel partitioning behave
- * exactly as the legacy hand-coded topologies did; the four legacy
- * classes are wrappers over this builder.
+ * complex). The paper's topologies, their golden stats dumps, and
+ * every bench are built through this class.
  */
 class Fabric
 {
@@ -204,7 +204,8 @@ class Fabric
     /** Write the full registry as stats.json to @p path. */
     void exportStatsJson(const std::string &path);
 
-    /** @{ Canonical workloads (see the legacy system classes). */
+    /** @{ Canonical workloads. Each ends by flushing the final
+     *  dump epoch and writing config.statsJsonOut when set. */
     /** dd through the first IDE disk; returns goodput in Gbit/s. */
     double runDd(const DdWorkloadParams &dd);
     /** Program and start @p active traffic generators over kernel
@@ -258,6 +259,10 @@ class Fabric
 
     [[noreturn]] void failNode(const FabricNodeDesc &n,
                                const std::string &what);
+    /** End-of-run steps shared by every workload: flush the final
+     *  dump epoch (without reset, so end-of-run readouts survive)
+     *  and export stats.json when configured. */
+    void finishRun();
     void validate();
     void buildPcie();
     void buildLegacyIo();

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -23,9 +23,9 @@ TEST(PostedWrites, CommandClassification)
 TEST(PostedWrites, DdCompletesAndMovesAllData)
 {
     Simulation sim;
-    SystemConfig cfg;
-    cfg.disk.postedWrites = true;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config.disk.postedWrites = true;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20;
     double gbps = system.runDd(dd);
@@ -47,15 +47,14 @@ TEST(PostedWrites, FasterThanNonPostedAtX1)
     DdWorkloadParams dd;
     dd.blockBytes = 2 << 20;
 
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
     Simulation sim_np;
-    SystemConfig cfg_np;
-    StorageSystem nonposted(sim_np, cfg_np);
+    Fabric nonposted(sim_np, desc);
     double np = nonposted.runDd(dd);
 
+    desc.config.disk.postedWrites = true;
     Simulation sim_p;
-    SystemConfig cfg_p;
-    cfg_p.disk.postedWrites = true;
-    StorageSystem posted(sim_p, cfg_p);
+    Fabric posted(sim_p, desc);
     double p = posted.runDd(dd);
 
     EXPECT_GT(p, np);

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -15,7 +15,7 @@ TEST(IdeDriverTest, SplitsRequestsIntoPrdSizedCommands)
 {
     // 1 MB = 16 commands of 128 sectors (the 64 KB PRD limit).
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
     system.runDd([] {
         DdWorkloadParams dd;
         dd.blockBytes = 1 << 20;
@@ -30,7 +30,7 @@ TEST(IdeDriverTest, OddSizesStillRoundTrip)
     // A non-power-of-two sector count: 65 KB = 130 sectors =
     // one 128-sector command plus a 2-sector tail command.
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
     DdWorkloadParams dd;
     dd.blockBytes = 130 * 512;
     system.runDd(dd);
@@ -41,7 +41,7 @@ TEST(IdeDriverTest, OddSizesStillRoundTrip)
 TEST(DdWorkloadTest, MultipleBlocksAccumulate)
 {
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
     system.boot();
 
     DdWorkloadParams dd;
@@ -63,7 +63,8 @@ TEST(DdWorkloadTest, OverheadLowersReportedThroughput)
 {
     auto run = [](Tick invocation_overhead) {
         Simulation sim;
-        StorageSystem system(sim, SystemConfig{});
+        Fabric system(sim,
+                      loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
         DdWorkloadParams dd;
         dd.blockBytes = 256 * 1024;
         dd.invocationOverhead = invocation_overhead;
@@ -78,7 +79,8 @@ TEST(DdWorkloadTest, LargerBlocksAmortizeFixedCosts)
 {
     auto run = [](std::uint64_t bytes) {
         Simulation sim;
-        StorageSystem system(sim, SystemConfig{});
+        Fabric system(sim,
+                      loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
         DdWorkloadParams dd;
         dd.blockBytes = bytes;
         return system.runDd(dd);
@@ -90,7 +92,7 @@ TEST(DdWorkloadTest, LargerBlocksAmortizeFixedCosts)
 TEST(DdWorkloadTest, ElapsedMatchesThroughput)
 {
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
     DdWorkloadParams dd;
     dd.blockBytes = 512 * 1024;
     double gbps = system.runDd(dd);

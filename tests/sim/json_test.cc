@@ -23,7 +23,7 @@
 #include "sim/json.hh"
 #include "sim/profiler.hh"
 #include "sim/rng.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -216,7 +216,8 @@ TEST(JsonFuzz, MutantsParseOrCiteALineInsideTheInput)
         prof::setEnabled(true);
         prof::setReportTimes(false);
         Simulation sim;
-        StorageSystem system(sim, SystemConfig{});
+        Fabric system(sim,
+                      loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
         DdWorkloadParams dd;
         dd.blockBytes = 64 * 1024;
         system.runDd(dd);

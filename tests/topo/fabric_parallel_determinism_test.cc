@@ -39,22 +39,12 @@ using namespace pciesim::literals;
 namespace
 {
 
-std::string
-topologyDir()
-{
-#ifdef PCIESIM_TOPOLOGY_DIR
-    return PCIESIM_TOPOLOGY_DIR;
-#else
-    return "examples/topologies";
-#endif
-}
-
 /** Run fanout256 with @p threads workers; return gbps + dump. */
 std::pair<double, std::string>
 runFanout(unsigned threads)
 {
     FabricDesc desc =
-        loadFabricDesc(topologyDir() + "/fanout256.json");
+        loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/fanout256.json");
     desc.config.threads = threads;
     desc.config.linkPropagation = 500_ns;
     desc.config.ackImmediate = true;

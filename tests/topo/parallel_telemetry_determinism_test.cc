@@ -34,16 +34,6 @@ using namespace pciesim::literals;
 namespace
 {
 
-std::string
-topologyDir()
-{
-#ifdef PCIESIM_TOPOLOGY_DIR
-    return PCIESIM_TOPOLOGY_DIR;
-#else
-    return "examples/topologies";
-#endif
-}
-
 /** Restore the process-global profiler switches on scope exit —
  *  gtest shares the process across suites. */
 struct ProfGuard
@@ -77,7 +67,7 @@ runFanout(unsigned threads)
     // first run's event counts.
     prof::reset();
     FabricDesc desc =
-        loadFabricDesc(topologyDir() + "/fanout256.json");
+        loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/fanout256.json");
     desc.config.threads = threads;
     desc.config.linkPropagation = 500_ns;
     desc.config.ackImmediate = true;

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "topo/fabric_builder.hh"
@@ -255,6 +256,44 @@ TEST(TopoDesc, TypeMismatch)
     std::string msg = descMsg("{ \"enumerate\": 1 }");
     EXPECT_NE(msg.find("key 'enumerate' must be a bool"),
               std::string::npos) << msg;
+}
+
+// A value that does not fit its field is an error at its line,
+// never a silent truncation, and a count is bounded by its parent
+// before expansion allocates one description per instance.
+TEST(TopoDesc, ValuesMustFitTheirField)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"{ \"nodes\": [\n { \"name\": \"s\", \"kind\": \"switch\",\n"
+         "   \"ports\": 4294967297 } ] }",
+         "t.json:3: key 'ports' is out of range"},
+        {"{ \"nodes\": [\n { \"name\": \"g\", \"kind\": \"traffic_gen\",\n"
+         "   \"link\": { \"width\": 4294967300 } } ] }",
+         "t.json:3: key 'width' is out of range"},
+        {"{ \"nodes\": [ { \"name\": \"g\", \"kind\": \"traffic_gen\","
+         " \"count\": 4294967297 } ] }",
+         "key 'count' is out of range"},
+        {"{ \"nodes\": [ { \"name\": \"d\", \"kind\": \"ide_disk\","
+         " \"chunk_size\": 1e19 } ] }",
+         "key 'chunk_size' is out of range"},
+        {"{ \"config\": { \"rc_latency_ns\": 1e300 } }",
+         "key 'rc_latency_ns' is out of range"},
+        {"{ \"nodes\": ["
+         " { \"name\": \"sw\", \"kind\": \"switch\", \"count\": 2 },"
+         " { \"name\": \"g\", \"kind\": \"traffic_gen\", \"count\": 33,"
+         " \"parent\": \"sw\" } ] }",
+         "node count 33 does not fit under 'sw', which supports at "
+         "most 32 downstream ports"},
+        {"{ \"nodes\": [\n { \"name\": \"g\", \"kind\": \"traffic_gen\","
+         " \"count\": 100000000 } ] }",
+         "t.json:2: node count 100000000 does not fit under 'rc', which "
+         "supports at most 8 root ports"},
+    };
+    for (const auto &[doc, want] : cases) {
+        std::string msg = descMsg(doc);
+        EXPECT_NE(msg.find(want), std::string::npos)
+            << doc << "\n" << msg;
+    }
 }
 
 // Count expansion is the one non-trivial rewrite the parser does;
