@@ -156,6 +156,12 @@ runFabric(JsonEmitter &json, const std::string &label,
     Fabric fabric(sim, desc);
     double build_ms = build_timer.elapsedMs();
 
+    // Stat registration and startup, booked on their own so neither
+    // enum_ms nor the run's events/sec carries them.
+    WallTimer init_timer;
+    sim.initialize();
+    double init_ms = init_timer.elapsedMs();
+
     double enum_ms = 0.0;
     if (desc.enumerate && !fabric.numNics()) {
         WallTimer enum_timer;
@@ -210,6 +216,7 @@ runFabric(JsonEmitter &json, const std::string &label,
                      {"enumerated",
                       desc.enumerate ? 1.0 : 0.0},
                      {"build_ms", build_ms},
+                     {"init_ms", init_ms},
                      {"enum_ms", enum_ms},
                      {"sim_ticks", static_cast<double>(
                                        sim.curTick())},
@@ -229,12 +236,12 @@ runFabric(JsonEmitter &json, const std::string &label,
                      {"mailbox_ops", pt.mailboxOps}});
     } else {
         std::printf("%-12s %5u ep %3u sw %5zu links %s "
-                    "build %7.2f ms enum %7.2f ms "
+                    "build %7.2f ms init %6.2f ms enum %7.2f ms "
                     "%10.0f ev/s %8.1f kB/ep %7.3f Gbps\n",
                     label.c_str(), endpoints,
                     fabric.numSwitches(), fabric.links().size(),
                     desc.enumerate ? "enum  " : "direct",
-                    build_ms, enum_ms, eps, rss_per_ep, gbps);
+                    build_ms, init_ms, enum_ms, eps, rss_per_ep, gbps);
         if (pt.domains > 0.0) {
             char sync[32] = "";
             if (pt.syncFraction > 0.0) {

@@ -15,7 +15,7 @@ DmaEngine::DmaEngine(SimObject &owner, MasterPort &port,
 {
     panicIf(params_.packetSize == 0, "DMA packet size must be > 0");
     owner_.statsRegistry().add(
-        name_ + ".e2eLatency", &e2eLatency_,
+        name_, "e2eLatency", &e2eLatency_,
         "DMA request-to-response latency (ticks)",
         stats::Unit::Tick);
 }

@@ -23,9 +23,9 @@ EtherWire::~EtherWire() = default;
 void
 EtherWire::init()
 {
-    statsRegistry().add(name() + ".framesDelivered", &framesDelivered_,
+    statsRegistry().add(name(), "framesDelivered", &framesDelivered_,
                         "frames delivered");
-    statsRegistry().add(name() + ".framesDropped", &framesDropped_,
+    statsRegistry().add(name(), "framesDropped", &framesDropped_,
                         "frames dropped by the receiver");
 }
 

@@ -50,15 +50,15 @@ IdeDisk::init()
 {
     PciDevice::init();
     auto &reg = statsRegistry();
-    reg.add(name() + ".commands", &commands_, "DMA commands completed");
-    reg.add(name() + ".dmaBytes", &dmaBytes_, "payload bytes moved");
-    reg.add(name() + ".chunks", &chunks_, "4KB chunks transferred");
-    reg.add(name() + ".activeTicks", &activeTicks_,
+    reg.add(name(), "commands", &commands_, "DMA commands completed");
+    reg.add(name(), "dmaBytes", &dmaBytes_, "payload bytes moved");
+    reg.add(name(), "chunks", &chunks_, "4KB chunks transferred");
+    reg.add(name(), "activeTicks", &activeTicks_,
             "ticks spent actively transferring");
     // Registered only when the unplug script is armed so fault-free
     // stats dumps stay bit-identical.
     if (diskParams_.unplugAtChunk > 0) {
-        reg.add(name() + ".unplugs", &unplugs_,
+        reg.add(name(), "unplugs", &unplugs_,
                 "scripted surprise removals");
     }
     fatalIf(!dmaPort().isBound(),

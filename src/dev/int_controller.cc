@@ -75,9 +75,9 @@ IntController::handleMsi(const PacketPtr &pkt)
 void
 IntController::init()
 {
-    statsRegistry().add(name() + ".dispatched", &dispatched_,
+    statsRegistry().add(name(), "dispatched", &dispatched_,
                         "interrupt handler dispatches");
-    statsRegistry().add(name() + ".msis", &msis_,
+    statsRegistry().add(name(), "msis", &msis_,
                         "MSI messages received");
 }
 

@@ -68,9 +68,9 @@ Nic8254xPcie::init()
 {
     PciDevice::init();
     auto &reg = statsRegistry();
-    reg.add(name() + ".txFrames", &txFrames_, "frames transmitted");
-    reg.add(name() + ".rxFrames", &rxFrames_, "frames received");
-    reg.add(name() + ".rxMissed", &rxMissed_,
+    reg.add(name(), "txFrames", &txFrames_, "frames transmitted");
+    reg.add(name(), "rxFrames", &rxFrames_, "frames received");
+    reg.add(name(), "rxMissed", &rxMissed_,
             "frames dropped for lack of RX descriptors");
 }
 

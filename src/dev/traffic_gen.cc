@@ -41,9 +41,9 @@ void
 TrafficGen::init()
 {
     PciDevice::init();
-    statsRegistry().add(name() + ".bytes", &bytes_,
+    statsRegistry().add(name(), "bytes", &bytes_,
                         "DMA payload bytes moved");
-    statsRegistry().add(name() + ".bursts", &bursts_,
+    statsRegistry().add(name(), "bursts", &bursts_,
                         "bursts completed");
     fatalIf(!dmaPort().isBound(),
             "traffic generator '", name(), "' DMA port unbound");

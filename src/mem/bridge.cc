@@ -111,13 +111,13 @@ Bridge::~Bridge() = default;
 void
 Bridge::init()
 {
-    statsRegistry().add(name() + ".fwdRequests", &fwdRequests_,
+    statsRegistry().add(name(), "fwdRequests", &fwdRequests_,
                         "requests forwarded");
-    statsRegistry().add(name() + ".fwdResponses", &fwdResponses_,
+    statsRegistry().add(name(), "fwdResponses", &fwdResponses_,
                         "responses forwarded");
-    statsRegistry().add(name() + ".reqRefusals", &reqRefusals_,
+    statsRegistry().add(name(), "reqRefusals", &reqRefusals_,
                         "requests refused (queue full)");
-    statsRegistry().add(name() + ".respRefusals", &respRefusals_,
+    statsRegistry().add(name(), "respRefusals", &respRefusals_,
                         "responses refused (queue full)");
     fatalIf(!slavePort_->isBound(),
             "bridge '", name(), "' slave port unbound");

@@ -64,9 +64,9 @@ SimpleMemory::port()
 void
 SimpleMemory::init()
 {
-    statsRegistry().add(name() + ".reads", &reads_, "read requests");
-    statsRegistry().add(name() + ".writes", &writes_, "write requests");
-    statsRegistry().add(name() + ".refusals", &refusals_,
+    statsRegistry().add(name(), "reads", &reads_, "read requests");
+    statsRegistry().add(name(), "writes", &writes_, "write requests");
+    statsRegistry().add(name(), "refusals", &refusals_,
                         "requests refused (queue full)");
     fatalIf(!port_->isBound(), "memory '", name(), "' port unbound");
     fatalIf(params_.bytesPerTick <= 0.0,

@@ -184,11 +184,11 @@ XBar::setDefaultPort(MasterPort &port)
 void
 XBar::init()
 {
-    statsRegistry().add(name() + ".reqPackets", &reqPackets_,
+    statsRegistry().add(name(), "reqPackets", &reqPackets_,
                         "requests forwarded");
-    statsRegistry().add(name() + ".respPackets", &respPackets_,
+    statsRegistry().add(name(), "respPackets", &respPackets_,
                         "responses forwarded");
-    statsRegistry().add(name() + ".reqRetries", &reqRetries_,
+    statsRegistry().add(name(), "reqRetries", &reqRetries_,
                         "requests refused due to full egress queue");
     for (const auto &mp : masterPorts_) {
         fatalIf(!mp->isBound(),

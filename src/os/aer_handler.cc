@@ -31,11 +31,11 @@ AerHandler::AerHandler(Kernel &kernel, Bdf root_bdf,
     errsSeen_.subname(1, "nonfatal");
     errsSeen_.subname(2, "fatal");
     auto &reg = kernel_.statsRegistry();
-    reg.add("system.aerHandler.irqs", &aerIrqs_,
+    reg.add("system.aerHandler", "irqs", &aerIrqs_,
             "AER interrupts serviced");
-    reg.add("system.aerHandler.errsSeen", &errsSeen_,
+    reg.add("system.aerHandler", "errsSeen", &errsSeen_,
             "root-latched errors the kernel observed, by severity");
-    reg.add("system.aerHandler.funcResets", &funcResets_,
+    reg.add("system.aerHandler", "funcResets", &funcResets_,
             "function-level resets performed during recovery");
     kernel_.registerIrqHandler(params_.irqLine,
                                [this] { handleIrq(); });

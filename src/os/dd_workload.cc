@@ -26,15 +26,15 @@ DdWorkload::DdWorkload(Kernel &kernel, IdeDriver &driver,
     bytesStat_ = [this] {
         return static_cast<double>(bytesTransferred());
     };
-    reg.add(statPrefix_ + ".bytesTransferred", &bytesStat_,
+    reg.add(statPrefix_, "bytesTransferred", &bytesStat_,
             "payload bytes read by dd", Unit::Byte);
     blocksStat_ = [this] { return static_cast<double>(blocksDone_); };
-    reg.add(statPrefix_ + ".blocksDone", &blocksStat_,
+    reg.add(statPrefix_, "blocksDone", &blocksStat_,
             "dd blocks completed", Unit::Count);
     goodputStat_ = [this] {
         return finished_ ? throughputGbps() * 1e9 : 0.0;
     };
-    reg.add(statPrefix_ + ".goodput", &goodputStat_,
+    reg.add(statPrefix_, "goodput", &goodputStat_,
             "application-level dd throughput", Unit::BitPerSecond);
 }
 

@@ -20,9 +20,9 @@ E1000eDriver::probe(Kernel &kernel, const EnumeratedFunction &fn)
 
     if (params_.trackRecovery) {
         auto &reg = kernel.statsRegistry();
-        reg.add("system.e1000eDriver.recoveries", &recoveries_,
+        reg.add("system.e1000eDriver", "recoveries", &recoveries_,
                 "frames retransmitted after a surprise removal");
-        reg.add("system.e1000eDriver.lostRequests", &lostRequests_,
+        reg.add("system.e1000eDriver", "lostRequests", &lostRequests_,
                 "in-flight frames lost to surprise removals");
     }
 

@@ -56,22 +56,22 @@ void
 Kernel::init()
 {
     using stats::Unit;
-    statsRegistry().add(name() + ".mmioOps", &mmioOps_,
+    statsRegistry().add(name(), "mmioOps", &mmioOps_,
                         "timed MMIO operations completed",
                         Unit::Count);
-    statsRegistry().add(name() + ".irqsHandled", &irqsHandled_,
+    statsRegistry().add(name(), "irqsHandled", &irqsHandled_,
                         "interrupt handlers run", Unit::Count);
-    statsRegistry().add(name() + ".completionTimeouts",
+    statsRegistry().add(name(), "completionTimeouts",
                         &completionTimeouts_,
                         "MMIO operations failed by completion "
                         "timeout", Unit::Count);
     // Gated on the knob so fault-free dumps stay bit-identical.
     if (params_.completionTimeout > 0) {
-        statsRegistry().add(name() + ".abortedReads", &abortedReads_,
+        statsRegistry().add(name(), "abortedReads", &abortedReads_,
                             "MMIO reads aborted with all-ones by "
                             "the completion timeout", Unit::Count);
     }
-    statsRegistry().add(name() + ".mmioLatency", &mmioLatency_,
+    statsRegistry().add(name(), "mmioLatency", &mmioLatency_,
                         "MMIO issue-to-completion latency (ticks)",
                         Unit::Tick);
     fatalIf(!cpuPort_->isBound(),

@@ -132,9 +132,9 @@ PciDevice::dmaPort()
 void
 PciDevice::init()
 {
-    statsRegistry().add(name() + ".pioReads", &pioReads_,
+    statsRegistry().add(name(), "pioReads", &pioReads_,
                         "MMIO/PMIO read requests");
-    statsRegistry().add(name() + ".pioWrites", &pioWrites_,
+    statsRegistry().add(name(), "pioWrites", &pioWrites_,
                         "MMIO/PMIO write requests");
     fatalIf(!pioPort_->isBound(),
             "device '", name(), "' PIO port unbound");

@@ -22,7 +22,7 @@ ErrReporter::ErrReporter(Simulation &sim, const std::string &name,
 void
 ErrReporter::init()
 {
-    statsRegistry().add(name() + ".delivered", &deliveredBySev_,
+    statsRegistry().add(name(), "delivered", &deliveredBySev_,
                         "error messages delivered to the root, "
                         "by severity", stats::Unit::Count);
 }

@@ -243,46 +243,46 @@ LinkInterface::registerStats()
 {
     auto &reg = link_.statsRegistry();
     using stats::Unit;
-    reg.add(name_ + ".txTlps", &txTlps_,
+    reg.add(name_, "txTlps", &txTlps_,
             "TLPs transmitted (including replays)", Unit::Count);
-    reg.add(name_ + ".txDllps", &txDllps_, "DLLPs transmitted",
+    reg.add(name_, "txDllps", &txDllps_, "DLLPs transmitted",
             Unit::Count);
-    reg.add(name_ + ".rxTlps", &rxTlps_, "TLPs received",
+    reg.add(name_, "rxTlps", &rxTlps_, "TLPs received",
             Unit::Count);
-    reg.add(name_ + ".rxDllps", &rxDllps_, "DLLPs received",
+    reg.add(name_, "rxDllps", &rxDllps_, "DLLPs received",
             Unit::Count);
-    reg.add(name_ + ".replayedTlps", &replayedTlps_,
+    reg.add(name_, "replayedTlps", &replayedTlps_,
             "TLP retransmissions", Unit::Count);
-    reg.add(name_ + ".timeouts", &timeouts_, "replay timer timeouts",
+    reg.add(name_, "timeouts", &timeouts_, "replay timer timeouts",
             Unit::Count);
-    reg.add(name_ + ".duplicateTlps", &duplicateTlps_,
+    reg.add(name_, "duplicateTlps", &duplicateTlps_,
             "received duplicate TLPs discarded", Unit::Count);
-    reg.add(name_ + ".outOfOrderDrops", &outOfOrderDrops_,
+    reg.add(name_, "outOfOrderDrops", &outOfOrderDrops_,
             "TLPs dropped behind a refused delivery", Unit::Count);
-    reg.add(name_ + ".deliveryRefusals", &deliveryRefusals_,
+    reg.add(name_, "deliveryRefusals", &deliveryRefusals_,
             "TLPs refused by the connected port (dropped, replayed)",
             Unit::Count);
-    reg.add(name_ + ".acceptRefusals", &acceptRefusals_,
+    reg.add(name_, "acceptRefusals", &acceptRefusals_,
             "TLPs refused from external ports (replay buffer full)",
             Unit::Count);
-    reg.add(name_ + ".creditStallTicks", &creditStallTicks_,
+    reg.add(name_, "creditStallTicks", &creditStallTicks_,
             "ticks spent refusing TLPs for lack of replay-buffer "
             "credit (closed stall intervals)",
             Unit::Tick);
-    reg.add(name_ + ".crcErrorsTlp", &crcErrorsTlp_,
+    reg.add(name_, "crcErrorsTlp", &crcErrorsTlp_,
             "received TLPs discarded for LCRC failure", Unit::Count);
-    reg.add(name_ + ".crcErrorsDllp", &crcErrorsDllp_,
+    reg.add(name_, "crcErrorsDllp", &crcErrorsDllp_,
             "received DLLPs discarded for CRC failure", Unit::Count);
-    reg.add(name_ + ".naksSent", &naksSent_, "NAK DLLPs sent",
+    reg.add(name_, "naksSent", &naksSent_, "NAK DLLPs sent",
             Unit::Count);
-    reg.add(name_ + ".naksReceived", &naksReceived_,
+    reg.add(name_, "naksReceived", &naksReceived_,
             "NAK DLLPs received", Unit::Count);
-    reg.add(name_ + ".retrains", &retrains_,
+    reg.add(name_, "retrains", &retrains_,
             "link retrains initiated by this interface", Unit::Count);
-    reg.add(name_ + ".hopLatency", &hopLatency_,
+    reg.add(name_, "hopLatency", &hopLatency_,
             "TLP inject-to-delivery latency across this hop (ticks)",
             Unit::Tick);
-    reg.add(name_ + ".ackLatency", &ackLatency_,
+    reg.add(name_, "ackLatency", &ackLatency_,
             "TLP inject-to-ACK-purge latency (ticks)", Unit::Tick);
 
     // Dump-time formulas over the counters above (stats v2).
@@ -292,13 +292,13 @@ LinkInterface::registerStats()
                        : static_cast<double>(replayedTlps_.value()) /
                              static_cast<double>(tx);
     };
-    reg.add(name_ + ".replayFraction", &replayFraction_,
+    reg.add(name_, "replayFraction", &replayFraction_,
             "replayed / transmitted TLPs on this interface",
             Unit::Ratio);
     replayHighWater_ = [this] {
         return static_cast<double>(replayBuffer_.highWater());
     };
-    reg.add(name_ + ".replayHighWater", &replayHighWater_,
+    reg.add(name_, "replayHighWater", &replayHighWater_,
             "deepest replay-buffer occupancy reached", Unit::Count);
 }
 
@@ -868,11 +868,11 @@ PcieLink::init()
                               toDownstream_->busyTicks()) /
                               static_cast<double>(now);
     };
-    statsRegistry().add(name() + ".wireUp.utilization",
+    statsRegistry().add(name(), "wireUp.utilization",
                         &wireUpUtilization_,
                         "device->RC wire occupancy fraction",
                         stats::Unit::Ratio);
-    statsRegistry().add(name() + ".wireDown.utilization",
+    statsRegistry().add(name(), "wireDown.utilization",
                         &wireDownUtilization_,
                         "RC->device wire occupancy fraction",
                         stats::Unit::Ratio);
@@ -881,23 +881,23 @@ PcieLink::init()
     // keeping fault-free stats dumps bit-identical to the
     // pre-degradation goldens.
     if (params_.degradeThreshold > 0) {
-        statsRegistry().add(name() + ".degradations", &degradations_,
+        statsRegistry().add(name(), "degradations", &degradations_,
                             "downtrain steps taken (Gen, then width)",
                             stats::Unit::Count);
-        statsRegistry().add(name() + ".upconfigures", &upconfigures_,
+        statsRegistry().add(name(), "upconfigures", &upconfigures_,
                             "ladder steps restored after back-off",
                             stats::Unit::Count);
         currentGenStat_ = [this] {
             return static_cast<double>(
                 static_cast<unsigned>(curGen_));
         };
-        statsRegistry().add(name() + ".currentGen", &currentGenStat_,
+        statsRegistry().add(name(), "currentGen", &currentGenStat_,
                             "operating speed generation at dump time",
                             stats::Unit::Count);
         currentWidthStat_ = [this] {
             return static_cast<double>(curWidth_);
         };
-        statsRegistry().add(name() + ".currentWidth",
+        statsRegistry().add(name(), "currentWidth",
                             &currentWidthStat_,
                             "operating lane width at dump time",
                             stats::Unit::Count);

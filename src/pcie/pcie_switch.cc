@@ -232,15 +232,15 @@ PcieSwitch::init()
 {
     auto &reg = statsRegistry();
     using stats::Unit;
-    reg.add(name() + ".fwdDownRequests", &fwdDownRequests_,
+    reg.add(name(), "fwdDownRequests", &fwdDownRequests_,
             "requests forwarded to downstream ports", Unit::Count);
-    reg.add(name() + ".fwdUpRequests", &fwdUpRequests_,
+    reg.add(name(), "fwdUpRequests", &fwdUpRequests_,
             "requests forwarded upstream", Unit::Count);
-    reg.add(name() + ".fwdDownResponses", &fwdDownResponses_,
+    reg.add(name(), "fwdDownResponses", &fwdDownResponses_,
             "responses forwarded to downstream ports", Unit::Count);
-    reg.add(name() + ".fwdUpResponses", &fwdUpResponses_,
+    reg.add(name(), "fwdUpResponses", &fwdUpResponses_,
             "responses forwarded upstream", Unit::Count);
-    reg.add(name() + ".bufferRefusals", &bufferRefusals_,
+    reg.add(name(), "bufferRefusals", &bufferRefusals_,
             "packets refused due to full port buffers", Unit::Count);
 
     portRequests_.init(params_.numDownstreamPorts);
@@ -249,19 +249,19 @@ PcieSwitch::init()
         portRequests_.subname(i, "port" + std::to_string(i));
         portResponses_.subname(i, "port" + std::to_string(i));
     }
-    reg.add(name() + ".portRequests", &portRequests_,
+    reg.add(name(), "portRequests", &portRequests_,
             "requests forwarded per downstream port", Unit::Count);
-    reg.add(name() + ".portResponses", &portResponses_,
+    reg.add(name(), "portResponses", &portResponses_,
             "responses forwarded per downstream port", Unit::Count);
 
     if (params_.enableContainment) {
-        reg.add(name() + ".containments", &containments_,
+        reg.add(name(), "containments", &containments_,
                 "downstream ports taken down after a FATAL error",
                 Unit::Count);
-        reg.add(name() + ".containedDrops", &containedDrops_,
+        reg.add(name(), "containedDrops", &containedDrops_,
                 "TLPs dropped at contained downstream ports",
                 Unit::Count);
-        reg.add(name() + ".urCompletions", &urCompletions_,
+        reg.add(name(), "urCompletions", &urCompletions_,
                 "all-ones UR completions for reads to contained "
                 "ports", Unit::Count);
     }

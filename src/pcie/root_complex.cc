@@ -262,15 +262,15 @@ RootComplex::init()
 {
     auto &reg = statsRegistry();
     using stats::Unit;
-    reg.add(name() + ".fwdDownRequests", &fwdDownRequests_,
+    reg.add(name(), "fwdDownRequests", &fwdDownRequests_,
             "requests forwarded to root ports", Unit::Count);
-    reg.add(name() + ".fwdUpRequests", &fwdUpRequests_,
+    reg.add(name(), "fwdUpRequests", &fwdUpRequests_,
             "DMA requests forwarded to the IOCache", Unit::Count);
-    reg.add(name() + ".fwdDownResponses", &fwdDownResponses_,
+    reg.add(name(), "fwdDownResponses", &fwdDownResponses_,
             "responses forwarded to root ports", Unit::Count);
-    reg.add(name() + ".fwdUpResponses", &fwdUpResponses_,
+    reg.add(name(), "fwdUpResponses", &fwdUpResponses_,
             "responses forwarded to the MemBus", Unit::Count);
-    reg.add(name() + ".bufferRefusals", &bufferRefusals_,
+    reg.add(name(), "bufferRefusals", &bufferRefusals_,
             "packets refused due to full port buffers", Unit::Count);
 
     portRequests_.init(params_.numRootPorts);
@@ -279,9 +279,9 @@ RootComplex::init()
         portRequests_.subname(i, "rootPort" + std::to_string(i));
         portResponses_.subname(i, "rootPort" + std::to_string(i));
     }
-    reg.add(name() + ".portRequests", &portRequests_,
+    reg.add(name(), "portRequests", &portRequests_,
             "requests forwarded per root port", Unit::Count);
-    reg.add(name() + ".portResponses", &portResponses_,
+    reg.add(name(), "portResponses", &portResponses_,
             "responses forwarded per root port", Unit::Count);
 
     fatalIf(!upSlave_->isBound(),

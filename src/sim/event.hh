@@ -12,8 +12,9 @@
  * Events are intrusive: the queue stores each event's heap slot in
  * the event itself (heapIndex_), which makes deschedule/reschedule
  * true O(log n) sift operations with no stale heap entries. Event
- * names are lazy interned C strings so an idle event carries no
- * std::string storage.
+ * names are C strings, interned eagerly when the event is
+ * constructed (under one process-wide mutex), so an event carries
+ * no std::string storage.
  */
 
 #ifndef PCIESIM_SIM_EVENT_HH

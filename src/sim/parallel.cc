@@ -685,24 +685,24 @@ ParallelEngine::registerStats(stats::Registry &reg,
         mailboxReceived_.subname(d, labels[d]);
     }
 
-    reg.add("system.parallel.windows", &windows_,
+    reg.add("system.parallel", "windows", &windows_,
             "quantum windows completed by the engine", Unit::Count);
-    reg.add("system.parallel.domainEvents", &domainEvents_,
+    reg.add("system.parallel", "domainEvents", &domainEvents_,
             "events executed per domain inside engine windows",
             Unit::Count);
-    reg.add("system.parallel.domainActiveWindows",
+    reg.add("system.parallel", "domainActiveWindows",
             &domainActiveWindows_,
             "windows in which the domain executed >= 1 event",
             Unit::Count);
-    reg.add("system.parallel.domainStallWindows",
+    reg.add("system.parallel", "domainStallWindows",
             &domainStallWindows_,
             "lookahead-limited windows: pending work beyond the "
             "horizon, nothing executable",
             Unit::Count);
-    reg.add("system.parallel.mailboxSent", &mailboxSent_,
+    reg.add("system.parallel", "mailboxSent", &mailboxSent_,
             "cross-domain mailbox operations posted by each domain",
             Unit::Count);
-    reg.add("system.parallel.mailboxReceived", &mailboxReceived_,
+    reg.add("system.parallel", "mailboxReceived", &mailboxReceived_,
             "cross-domain mailbox operations delivered to each "
             "domain",
             Unit::Count);
@@ -710,17 +710,17 @@ ParallelEngine::registerStats(stats::Registry &reg,
     domainsStat_ = [this] {
         return static_cast<double>(queues_.size());
     };
-    reg.add("system.parallel.domains", &domainsStat_,
+    reg.add("system.parallel", "domains", &domainsStat_,
             "link domains driven by the engine", Unit::Count);
     quantumStat_ = [this] {
         return static_cast<double>(quantum_);
     };
-    reg.add("system.parallel.quantumTicks", &quantumStat_,
+    reg.add("system.parallel", "quantumTicks", &quantumStat_,
             "synchronization quantum (minimum cross-domain "
             "lookahead)",
             Unit::Tick);
     loadImbalanceStat_ = [this] { return loadImbalance(); };
-    reg.add("system.parallel.loadImbalance", &loadImbalanceStat_,
+    reg.add("system.parallel", "loadImbalance", &loadImbalanceStat_,
             "max/mean events per domain (1.0 == perfectly "
             "balanced)",
             Unit::Ratio);
@@ -731,7 +731,7 @@ ParallelEngine::registerStats(stats::Registry &reg,
                    : static_cast<double>(mailboxSent_.total()) /
                          static_cast<double>(events);
     };
-    reg.add("system.parallel.mailboxIntensity",
+    reg.add("system.parallel", "mailboxIntensity",
             &mailboxIntensityStat_,
             "cross-domain mailbox operations per executed event",
             Unit::Ratio);
@@ -740,7 +740,7 @@ ParallelEngine::registerStats(stats::Registry &reg,
     // is suppressed (--no-timing), which keeps 1-vs-N stats dumps
     // byte-identical — the same contract as the profiler's estMs.
     syncOverheadStat_ = [this] { return syncOverheadFraction(); };
-    reg.add("system.parallel.syncOverheadFraction",
+    reg.add("system.parallel", "syncOverheadFraction",
             &syncOverheadStat_,
             "estimated barrier-wait wall time over total engine "
             "wall time; reads 0 under --no-timing",
@@ -750,7 +750,7 @@ ParallelEngine::registerStats(stats::Registry &reg,
                    ? estExecNs() / 1e6
                    : 0.0;
     };
-    reg.add("system.parallel.execMsEst", &execMsEstStat_,
+    reg.add("system.parallel", "execMsEst", &execMsEstStat_,
             "estimated wall ms executing domain windows (0 under "
             "--no-timing)");
     syncWaitMsEstStat_ = [this] {
@@ -758,11 +758,11 @@ ParallelEngine::registerStats(stats::Registry &reg,
                    ? estSyncNs() / 1e6
                    : 0.0;
     };
-    reg.add("system.parallel.syncWaitMsEst", &syncWaitMsEstStat_,
+    reg.add("system.parallel", "syncWaitMsEst", &syncWaitMsEstStat_,
             "estimated wall ms waiting at window barriers (0 under "
             "--no-timing)");
     serialMsEstStat_ = [this] { return serialMsEst(); };
-    reg.add("system.parallel.serialMsEst", &serialMsEstStat_,
+    reg.add("system.parallel", "serialMsEst", &serialMsEstStat_,
             "estimated wall ms in the barrier's serial completion "
             "step: mailbox drain plus next-window computation (0 "
             "under --no-timing)");

@@ -169,6 +169,8 @@ Histogram::sample(std::uint64_t v, std::uint64_t count)
         max_ = v;
     samples_ += count;
     sum_ += v * count;
+    if (!buckets_)
+        buckets_ = std::make_unique<std::uint64_t[]>(numBuckets_);
     buckets_[bucketIndex(v)] += count;
 }
 
@@ -189,7 +191,7 @@ Histogram::quantile(double q) const
     auto target = static_cast<std::uint64_t>(
         q * static_cast<double>(samples_ - 1));
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    for (std::size_t i = 0; i < numBuckets_; ++i) {
         cum += buckets_[i];
         if (cum > target) {
             std::uint64_t mid = bucketMidpoint(i);
@@ -202,181 +204,268 @@ Histogram::quantile(double q) const
 void
 Histogram::reset()
 {
-    buckets_.fill(0);
+    if (buckets_)
+        std::fill_n(buckets_.get(), numBuckets_, 0);
     samples_ = 0;
     sum_ = 0;
     min_ = 0;
     max_ = 0;
 }
 
-void
-Registry::checkNew(const std::string &name) const
+namespace
 {
-    panicIf(entries_.count(name) != 0, "duplicate stat '", name, "'");
+
+std::uint32_t
+hashName(std::string_view name)
+{
+    return static_cast<std::uint32_t>(
+        std::hash<std::string_view>{}(name));
+}
+
+} // namespace
+
+std::uint32_t
+Registry::internOwner(std::string_view owner)
+{
+    if (!owners_.empty() && ownerName(owners_.size() - 1) == owner)
+        return static_cast<std::uint32_t>(owners_.size() - 1);
+    owners_.push_back({static_cast<std::uint32_t>(ownerChars_.size()),
+                       static_cast<std::uint32_t>(owner.size())});
+    ownerChars_.append(owner);
+    return static_cast<std::uint32_t>(owners_.size() - 1);
+}
+
+std::string_view
+Registry::ownerName(std::uint32_t id) const
+{
+    const OwnerName &o = owners_[id];
+    return std::string_view(ownerChars_).substr(o.offset, o.len);
 }
 
 void
-Registry::add(const std::string &name, Counter *stat,
-              const std::string &desc, Unit unit)
+Registry::appendName(const Entry &e, std::string &out) const
 {
-    checkNew(name);
-    Entry e;
-    e.counter = stat;
-    e.desc = desc;
-    e.unit = unit;
-    entries_[name] = e;
-}
-
-void
-Registry::add(const std::string &name, Scalar *stat,
-              const std::string &desc, Unit unit)
-{
-    checkNew(name);
-    Entry e;
-    e.scalar = stat;
-    e.desc = desc;
-    e.unit = unit;
-    entries_[name] = e;
-}
-
-void
-Registry::add(const std::string &name, Distribution *stat,
-              const std::string &desc, Unit unit)
-{
-    checkNew(name);
-    Entry e;
-    e.dist = stat;
-    e.desc = desc;
-    e.unit = unit;
-    entries_[name] = e;
-}
-
-void
-Registry::add(const std::string &name, Histogram *stat,
-              const std::string &desc, Unit unit)
-{
-    checkNew(name);
-    Entry e;
-    e.hist = stat;
-    e.desc = desc;
-    e.unit = unit;
-    entries_[name] = e;
-}
-
-void
-Registry::add(const std::string &name, Vector *stat,
-              const std::string &desc, Unit unit)
-{
-    checkNew(name);
-    Entry e;
-    e.vec = stat;
-    e.desc = desc;
-    e.unit = unit;
-    entries_[name] = e;
-}
-
-void
-Registry::add(const std::string &name, Formula *stat,
-              const std::string &desc, Unit unit)
-{
-    checkNew(name);
-    Entry e;
-    e.formula = stat;
-    e.desc = desc;
-    e.unit = unit;
-    entries_[name] = e;
+    std::string_view owner = ownerName(e.owner);
+    out.append(owner);
+    if (!owner.empty())
+        out += '.';
+    out.append(e.suffixView());
 }
 
 bool
-Registry::remove(const std::string &name)
+Registry::nameIs(const Entry &e, std::string_view name) const
 {
-    return entries_.erase(name) != 0;
+    std::string_view owner = ownerName(e.owner);
+    std::string_view suffix = e.suffixView();
+    if (owner.empty())
+        return name == suffix;
+    return name.size() == owner.size() + 1 + suffix.size() &&
+           name.substr(0, owner.size()) == owner &&
+           name[owner.size()] == '.' &&
+           name.substr(owner.size() + 1) == suffix;
+}
+
+std::size_t
+Registry::find(std::string_view name) const
+{
+    return find(name, hashName(name));
+}
+
+std::size_t
+Registry::find(std::string_view name, std::uint32_t hash) const
+{
+    if (buckets_.empty())
+        return npos;
+    for (std::uint32_t e = buckets_[hash & (buckets_.size() - 1)]; e != 0;
+         e = entry(e - 1).next) {
+        const Entry &candidate = entry(e - 1);
+        if (candidate.hash == hash && nameIs(candidate, name))
+            return e - 1;
+    }
+    return npos;
 }
 
 void
-Registry::noteMiss(const std::string &name, const char *kind) const
+Registry::link(std::size_t idx)
+{
+    Entry &e = entry(idx);
+    std::uint32_t &head = buckets_[e.hash & (buckets_.size() - 1)];
+    e.next = head;
+    head = static_cast<std::uint32_t>(idx + 1);
+}
+
+void
+Registry::unlink(std::size_t idx)
+{
+    const Entry &e = entry(idx);
+    std::uint32_t *at = &buckets_[e.hash & (buckets_.size() - 1)];
+    while (*at != idx + 1)
+        at = &entry(*at - 1).next;
+    *at = e.next;
+}
+
+void
+Registry::insert(std::string_view owner, Literal suffix, Kind kind,
+                 void *stat, Literal desc, Unit unit)
+{
+    panicIf(suffix.view().size() > UINT16_MAX, "stat suffix too long");
+    scratch_.assign(owner);
+    if (!owner.empty())
+        scratch_ += '.';
+    scratch_.append(suffix.view());
+    std::uint32_t hash = hashName(scratch_);
+    panicIf(find(scratch_, hash) != npos, "duplicate stat '", scratch_,
+            "'");
+
+    if (numEntries_ == chunks_.size() * chunkSize_) {
+        chunks_.push_back(
+            std::make_unique_for_overwrite<Entry[]>(chunkSize_));
+    }
+    entry(numEntries_++) =
+        Entry{stat, suffix.c_str(), desc.c_str(), internOwner(owner), hash,
+              0, static_cast<std::uint16_t>(suffix.view().size()), kind,
+              unit};
+    if (numEntries_ > buckets_.size()) {
+        // Keep at most one entry per bucket on average.
+        buckets_.assign(std::max<std::size_t>(64, 2 * buckets_.size()),
+                        0);
+        for (std::size_t idx = 0; idx < numEntries_; ++idx)
+            link(idx);
+    } else {
+        link(numEntries_ - 1);
+    }
+    orderValid_ = false;
+}
+
+bool
+Registry::remove(std::string_view name)
+{
+    std::size_t idx = find(name);
+    if (idx == npos)
+        return false;
+    unlink(idx);
+    // Move the last entry into the hole.
+    std::size_t last = numEntries_ - 1;
+    if (idx != last) {
+        unlink(last);
+        entry(idx) = entry(last);
+        link(idx);
+    }
+    --numEntries_;
+    orderValid_ = false;
+    return true;
+}
+
+const std::vector<std::uint32_t> &
+Registry::sortedOrder() const
+{
+    if (orderValid_)
+        return order_;
+    std::vector<std::pair<std::string, std::uint32_t>> named;
+    named.reserve(numEntries_);
+    for (std::size_t idx = 0; idx < numEntries_; ++idx) {
+        named.emplace_back(std::string{},
+                           static_cast<std::uint32_t>(idx));
+        appendName(entry(idx), named.back().first);
+    }
+    std::sort(named.begin(), named.end());
+    order_.clear();
+    order_.reserve(named.size());
+    for (const auto &[name, idx] : named)
+        order_.push_back(idx);
+    orderValid_ = true;
+    return order_;
+}
+
+const Registry::Entry *
+Registry::findKind(std::string_view name, Kind k) const
+{
+    std::size_t idx = find(name);
+    if (idx == npos || entry(idx).kind != k)
+        return nullptr;
+    return &entry(idx);
+}
+
+void
+Registry::noteMiss(std::string_view name, const char *kind) const
 {
     PCIESIM_AUDIT(false, "stat lookup miss: no ", kind, " named '",
                   name, "'");
-    if (warnedMisses_.insert(name).second) {
+    if (warnedMisses_.emplace(name).second) {
         warn("stat lookup miss: no ", kind, " named '", name,
              "' (returning 0)");
     }
 }
 
 std::uint64_t
-Registry::counterValue(const std::string &name) const
+Registry::counterValue(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end() || it->second.counter == nullptr) {
+    const Entry *e = findKind(name, Kind::Counter);
+    if (e == nullptr) {
         noteMiss(name, "counter");
         return 0;
     }
-    return it->second.counter->value();
+    return e->as<Counter>().value();
 }
 
 double
-Registry::scalarValue(const std::string &name) const
+Registry::scalarValue(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end() || it->second.scalar == nullptr) {
+    const Entry *e = findKind(name, Kind::Scalar);
+    if (e == nullptr) {
         noteMiss(name, "scalar");
         return 0.0;
     }
-    return it->second.scalar->value();
+    return e->as<Scalar>().value();
 }
 
 double
-Registry::formulaValue(const std::string &name) const
+Registry::formulaValue(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end() || it->second.formula == nullptr) {
+    const Entry *e = findKind(name, Kind::Formula);
+    if (e == nullptr) {
         noteMiss(name, "formula");
         return 0.0;
     }
-    return it->second.formula->value();
+    return e->as<Formula>().value();
 }
 
 std::optional<std::uint64_t>
-Registry::tryCounter(const std::string &name) const
+Registry::tryCounter(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end() || it->second.counter == nullptr)
+    const Entry *e = findKind(name, Kind::Counter);
+    if (e == nullptr)
         return std::nullopt;
-    return it->second.counter->value();
+    return e->as<Counter>().value();
 }
 
 std::optional<double>
-Registry::tryScalar(const std::string &name) const
+Registry::tryScalar(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end() || it->second.scalar == nullptr)
+    const Entry *e = findKind(name, Kind::Scalar);
+    if (e == nullptr)
         return std::nullopt;
-    return it->second.scalar->value();
+    return e->as<Scalar>().value();
 }
 
 const Histogram *
-Registry::histogram(const std::string &name) const
+Registry::histogram(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end())
-        return nullptr;
-    return it->second.hist;
+    const Entry *e = findKind(name, Kind::Histogram);
+    return e ? &e->as<Histogram>() : nullptr;
 }
 
 const Vector *
-Registry::vector(const std::string &name) const
+Registry::vector(std::string_view name) const
 {
-    auto it = entries_.find(name);
-    if (it == entries_.end())
-        return nullptr;
-    return it->second.vec;
+    const Entry *e = findKind(name, Kind::Vector);
+    return e ? &e->as<Vector>() : nullptr;
 }
 
 bool
-Registry::has(const std::string &name) const
+Registry::has(std::string_view name) const
 {
-    return entries_.count(name) != 0;
+    return find(name) != npos;
 }
 
 namespace
@@ -400,9 +489,9 @@ writeUnitSuffix(std::ostream &os, Unit unit)
 }
 
 void
-writeDescSuffix(std::ostream &os, const std::string &desc)
+writeDescSuffix(std::ostream &os, const char *desc)
 {
-    if (!desc.empty())
+    if (*desc != '\0')
         os << "  # " << desc;
     os << "\n";
 }
@@ -412,41 +501,54 @@ writeDescSuffix(std::ostream &os, const std::string &desc)
 void
 Registry::dump(std::ostream &os) const
 {
-    for (const auto &[name, e] : entries_) {
-        if (e.vec) {
-            for (std::size_t i = 0; i < e.vec->size(); ++i) {
+    std::string name;
+    for (std::uint32_t idx : sortedOrder()) {
+        const Entry &e = entry(idx);
+        name.clear();
+        appendName(e, name);
+        if (e.kind == Kind::Vector) {
+            const Vector &v = e.as<Vector>();
+            for (std::size_t i = 0; i < v.size(); ++i) {
                 os << std::left << std::setw(56)
-                   << (name + "." + elementLabel(*e.vec, i)) << " "
-                   << (*e.vec)[i].value();
+                   << (name + "." + elementLabel(v, i)) << " "
+                   << v[i].value();
                 writeUnitSuffix(os, e.unit);
                 writeDescSuffix(os, e.desc);
             }
             os << std::left << std::setw(56) << (name + ".total")
-               << " " << e.vec->total();
+               << " " << v.total();
             writeUnitSuffix(os, e.unit);
             writeDescSuffix(os, e.desc);
             continue;
         }
         os << std::left << std::setw(56) << name << " ";
-        if (e.counter) {
-            os << e.counter->value();
-        } else if (e.scalar) {
-            os << e.scalar->value();
-        } else if (e.formula) {
-            os << e.formula->value();
-        } else if (e.dist) {
-            os << "samples=" << e.dist->samples()
-               << " mean=" << e.dist->mean()
-               << " min=" << e.dist->min()
-               << " max=" << e.dist->max();
-        } else if (e.hist) {
-            os << "samples=" << e.hist->samples()
-               << " mean=" << e.hist->mean()
-               << " p50=" << e.hist->quantile(0.50)
-               << " p95=" << e.hist->quantile(0.95)
-               << " p99=" << e.hist->quantile(0.99)
-               << " min=" << e.hist->min()
-               << " max=" << e.hist->max();
+        switch (e.kind) {
+          case Kind::Counter:
+            os << e.as<Counter>().value();
+            break;
+          case Kind::Scalar:
+            os << e.as<Scalar>().value();
+            break;
+          case Kind::Formula:
+            os << e.as<Formula>().value();
+            break;
+          case Kind::Distribution: {
+            const Distribution &d = e.as<Distribution>();
+            os << "samples=" << d.samples() << " mean=" << d.mean()
+               << " min=" << d.min() << " max=" << d.max();
+            break;
+          }
+          case Kind::Histogram: {
+            const Histogram &h = e.as<Histogram>();
+            os << "samples=" << h.samples() << " mean=" << h.mean()
+               << " p50=" << h.quantile(0.50)
+               << " p95=" << h.quantile(0.95)
+               << " p99=" << h.quantile(0.99) << " min=" << h.min()
+               << " max=" << h.max();
+            break;
+          }
+          case Kind::Vector:
+            break;
         }
         writeUnitSuffix(os, e.unit);
         writeDescSuffix(os, e.desc);
@@ -457,6 +559,11 @@ void
 Registry::dumpJson(std::ostream &os, std::uint64_t cur_tick,
                    unsigned epoch) const
 {
+    // Indexed by Kind.
+    static constexpr const char *typeNames[] = {
+        "counter", "scalar", "distribution",
+        "histogram", "vector", "formula",
+    };
     os << "{\n"
        << "  \"schema\": \"pciesim-stats\",\n"
        << "  \"version\": 1,\n"
@@ -464,55 +571,61 @@ Registry::dumpJson(std::ostream &os, std::uint64_t cur_tick,
        << "  \"epoch\": " << epoch << ",\n"
        << "  \"stats\": [";
     bool first = true;
-    for (const auto &[name, e] : entries_) {
+    std::string name;
+    for (std::uint32_t idx : sortedOrder()) {
+        const Entry &e = entry(idx);
+        name.clear();
+        appendName(e, name);
         os << (first ? "\n" : ",\n") << "    {\"name\": "
-           << json::writeString(name) << ", \"type\": \"";
-        first = false;
-        if (e.counter)
-            os << "counter";
-        else if (e.scalar)
-            os << "scalar";
-        else if (e.formula)
-            os << "formula";
-        else if (e.vec)
-            os << "vector";
-        else if (e.dist)
-            os << "distribution";
-        else if (e.hist)
-            os << "histogram";
-        os << "\", \"unit\": \"" << unitName(e.unit)
+           << json::writeString(name) << ", \"type\": \""
+           << typeNames[static_cast<unsigned>(e.kind)]
+           << "\", \"unit\": \"" << unitName(e.unit)
            << "\", \"desc\": " << json::writeString(e.desc);
-        if (e.counter) {
-            os << ", \"value\": " << e.counter->value();
-        } else if (e.scalar) {
+        first = false;
+        switch (e.kind) {
+          case Kind::Counter:
+            os << ", \"value\": " << e.as<Counter>().value();
+            break;
+          case Kind::Scalar:
             os << ", \"value\": "
-               << json::writeNumber(e.scalar->value());
-        } else if (e.formula) {
+               << json::writeNumber(e.as<Scalar>().value());
+            break;
+          case Kind::Formula:
             os << ", \"value\": "
-               << json::writeNumber(e.formula->value());
-        } else if (e.vec) {
+               << json::writeNumber(e.as<Formula>().value());
+            break;
+          case Kind::Vector: {
+            const Vector &v = e.as<Vector>();
             os << ", \"subnames\": [";
-            for (std::size_t i = 0; i < e.vec->size(); ++i) {
+            for (std::size_t i = 0; i < v.size(); ++i) {
                 os << (i ? ", " : "")
-                   << json::writeString(elementLabel(*e.vec, i));
+                   << json::writeString(elementLabel(v, i));
             }
             os << "], \"values\": [";
-            for (std::size_t i = 0; i < e.vec->size(); ++i)
-                os << (i ? ", " : "") << (*e.vec)[i].value();
-            os << "], \"total\": " << e.vec->total();
-        } else if (e.dist) {
-            os << ", \"samples\": " << e.dist->samples()
-               << ", \"mean\": " << json::writeNumber(e.dist->mean())
-               << ", \"min\": " << json::writeNumber(e.dist->min())
-               << ", \"max\": " << json::writeNumber(e.dist->max());
-        } else if (e.hist) {
-            os << ", \"samples\": " << e.hist->samples()
-               << ", \"mean\": " << json::writeNumber(e.hist->mean())
-               << ", \"min\": " << e.hist->min()
-               << ", \"max\": " << e.hist->max()
-               << ", \"p50\": " << e.hist->quantile(0.50)
-               << ", \"p95\": " << e.hist->quantile(0.95)
-               << ", \"p99\": " << e.hist->quantile(0.99);
+            for (std::size_t i = 0; i < v.size(); ++i)
+                os << (i ? ", " : "") << v[i].value();
+            os << "], \"total\": " << v.total();
+            break;
+          }
+          case Kind::Distribution: {
+            const Distribution &d = e.as<Distribution>();
+            os << ", \"samples\": " << d.samples()
+               << ", \"mean\": " << json::writeNumber(d.mean())
+               << ", \"min\": " << json::writeNumber(d.min())
+               << ", \"max\": " << json::writeNumber(d.max());
+            break;
+          }
+          case Kind::Histogram: {
+            const Histogram &h = e.as<Histogram>();
+            os << ", \"samples\": " << h.samples()
+               << ", \"mean\": " << json::writeNumber(h.mean())
+               << ", \"min\": " << h.min()
+               << ", \"max\": " << h.max()
+               << ", \"p50\": " << h.quantile(0.50)
+               << ", \"p95\": " << h.quantile(0.95)
+               << ", \"p99\": " << h.quantile(0.99);
+            break;
+          }
         }
         os << "}";
     }
@@ -527,19 +640,17 @@ Registry::dumpJson(std::ostream &os, std::uint64_t cur_tick,
 void
 Registry::resetAll()
 {
-    for (auto &[name, e] : entries_) {
-        (void)name;
-        if (e.counter)
-            e.counter->reset();
-        else if (e.scalar)
-            e.scalar->reset();
-        else if (e.dist)
-            e.dist->reset();
-        else if (e.hist)
-            e.hist->reset();
-        else if (e.vec)
-            e.vec->reset();
-        // Formulas are derived; they reset with their inputs.
+    for (std::size_t i = 0; i < numEntries_; ++i) {
+        const Entry &e = entry(i);
+        switch (e.kind) {
+          case Kind::Counter: e.as<Counter>().reset(); break;
+          case Kind::Scalar: e.as<Scalar>().reset(); break;
+          case Kind::Distribution: e.as<Distribution>().reset(); break;
+          case Kind::Histogram: e.as<Histogram>().reset(); break;
+          case Kind::Vector: e.as<Vector>().reset(); break;
+          // Formulas are derived; they reset with their inputs.
+          case Kind::Formula: break;
+        }
     }
 }
 

@@ -12,14 +12,14 @@
 #ifndef PCIESIM_SIM_STATS_HH
 #define PCIESIM_SIM_STATS_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pciesim::stats
@@ -30,7 +30,7 @@ namespace pciesim::stats
  * stats.json. The small fixed set covers everything the simulator
  * reports; None suppresses the unit annotation entirely.
  */
-enum class Unit
+enum class Unit : std::uint8_t
 {
     None,          ///< dimensionless / unspecified
     Count,         ///< plain event count
@@ -166,10 +166,11 @@ class Distribution
  *
  * Buckets are logarithmic with 8 linear sub-buckets per power of
  * two (HdrHistogram-style), so relative error is bounded at ~12%
- * across the full 64-bit range while the footprint stays at a
- * fixed 4 KiB. Quantiles are answered from the bucket midpoints,
- * which keeps them deterministic across runs — a requirement for
- * the golden-stats suite.
+ * across the full 64-bit range. The 496 buckets (3,968 bytes) are
+ * allocated by the first sample(); a histogram that is never
+ * sampled costs one pointer. Quantiles are answered from the
+ * bucket midpoints, which keeps them deterministic across runs — a
+ * requirement for the golden-stats suite.
  */
 class Histogram
 {
@@ -194,7 +195,8 @@ class Histogram
     static std::size_t bucketIndex(std::uint64_t v);
     static std::uint64_t bucketMidpoint(std::size_t idx);
 
-    std::array<std::uint64_t, numBuckets_> buckets_{};
+    /** numBuckets_ counts; null until the first sample. */
+    std::unique_ptr<std::uint64_t[]> buckets_;
     std::uint64_t samples_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = 0;
@@ -202,35 +204,85 @@ class Histogram
 };
 
 /**
+ * A stat name suffix or description the registry keeps by pointer:
+ * a string literal or another array with static storage. The
+ * constructor is consteval, so a temporary or stack buffer (which
+ * could dangle) does not compile.
+ */
+class Literal
+{
+  public:
+    template <std::size_t N>
+    consteval Literal(const char (&s)[N])
+        : str_(s), len_(std::char_traits<char>::length(s))
+    {}
+
+    const char *c_str() const { return str_; }
+    std::string_view view() const { return {str_, len_}; }
+
+  private:
+    const char *str_;
+    std::size_t len_;
+};
+
+/**
  * A registry of named statistics.
  *
  * Registration stores non-owning pointers; the registering component
  * must outlive the registry's use (short-lived components such as a
- * workload remove their stats on destruction — see remove()). Names
- * are hierarchical by convention:
- * "system.rootComplex.port0.fwdPackets".
+ * workload remove their stats on destruction — see remove()). A
+ * stat's full name is its owner's name, ".", and a literal suffix:
+ * "system.rootComplex" + "fwdUpRequests" (an empty owner names the
+ * stat by its suffix alone).
+ *
+ * Cost model: add() copies an owner's name once for a run of
+ * consecutive adds from that owner and keeps suffix and description
+ * by pointer, so registration allocates nothing per stat. The full
+ * name is hashed into an index at add() time (duplicates panic
+ * there, and lookups need no deferred work); full-name strings are
+ * built only by dump()/dumpJson(), whose sorted order is cached
+ * until the next add() or remove().
  */
 class Registry
 {
   public:
-    void add(const std::string &name, Counter *stat,
-             const std::string &desc = "", Unit unit = Unit::Count);
-    void add(const std::string &name, Scalar *stat,
-             const std::string &desc = "", Unit unit = Unit::None);
-    void add(const std::string &name, Distribution *stat,
-             const std::string &desc = "", Unit unit = Unit::None);
-    void add(const std::string &name, Histogram *stat,
-             const std::string &desc = "", Unit unit = Unit::Tick);
-    void add(const std::string &name, Vector *stat,
-             const std::string &desc = "", Unit unit = Unit::Count);
-    void add(const std::string &name, Formula *stat,
-             const std::string &desc = "", Unit unit = Unit::None);
+    void add(std::string_view owner, Literal suffix, Counter *stat,
+             Literal desc = "", Unit unit = Unit::Count)
+    {
+        insert(owner, suffix, Kind::Counter, stat, desc, unit);
+    }
+    void add(std::string_view owner, Literal suffix, Scalar *stat,
+             Literal desc = "", Unit unit = Unit::None)
+    {
+        insert(owner, suffix, Kind::Scalar, stat, desc, unit);
+    }
+    void add(std::string_view owner, Literal suffix,
+             Distribution *stat, Literal desc = "",
+             Unit unit = Unit::None)
+    {
+        insert(owner, suffix, Kind::Distribution, stat, desc, unit);
+    }
+    void add(std::string_view owner, Literal suffix, Histogram *stat,
+             Literal desc = "", Unit unit = Unit::Tick)
+    {
+        insert(owner, suffix, Kind::Histogram, stat, desc, unit);
+    }
+    void add(std::string_view owner, Literal suffix, Vector *stat,
+             Literal desc = "", Unit unit = Unit::Count)
+    {
+        insert(owner, suffix, Kind::Vector, stat, desc, unit);
+    }
+    void add(std::string_view owner, Literal suffix, Formula *stat,
+             Literal desc = "", Unit unit = Unit::None)
+    {
+        insert(owner, suffix, Kind::Formula, stat, desc, unit);
+    }
 
     /**
      * Drop the entry named @p name (a component being destroyed
      * before the registry). @return whether an entry was removed.
      */
-    bool remove(const std::string &name);
+    bool remove(std::string_view name);
 
     /**
      * Look up a counter value by full name. A lookup that misses
@@ -238,29 +290,29 @@ class Registry
      * once per name — and panics outright in audit builds — so a
      * typo in a bench or golden query cannot pass silently.
      */
-    std::uint64_t counterValue(const std::string &name) const;
+    std::uint64_t counterValue(std::string_view name) const;
 
     /** Look up a scalar value; same miss semantics as above. */
-    double scalarValue(const std::string &name) const;
+    double scalarValue(std::string_view name) const;
 
     /** Look up a formula value; same miss semantics as above. */
-    double formulaValue(const std::string &name) const;
+    double formulaValue(std::string_view name) const;
 
     /** Counter lookup that reports absence instead of warning. */
     std::optional<std::uint64_t>
-    tryCounter(const std::string &name) const;
+    tryCounter(std::string_view name) const;
 
     /** Scalar lookup that reports absence instead of warning. */
-    std::optional<double> tryScalar(const std::string &name) const;
+    std::optional<double> tryScalar(std::string_view name) const;
 
     /** Look up a histogram by full name; nullptr when absent. */
-    const Histogram *histogram(const std::string &name) const;
+    const Histogram *histogram(std::string_view name) const;
 
     /** Look up a vector by full name; nullptr when absent. */
-    const Vector *vector(const std::string &name) const;
+    const Vector *vector(std::string_view name) const;
 
     /** Whether a stat with this name exists. */
-    bool has(const std::string &name) const;
+    bool has(std::string_view name) const;
 
     /** Dump all statistics in name order, with units. */
     void dump(std::ostream &os) const;
@@ -280,25 +332,101 @@ class Registry
     void resetAll();
 
   private:
-    struct Entry
+    enum class Kind : std::uint8_t
     {
-        Counter *counter = nullptr;
-        Scalar *scalar = nullptr;
-        Distribution *dist = nullptr;
-        Histogram *hist = nullptr;
-        Vector *vec = nullptr;
-        Formula *formula = nullptr;
-        std::string desc;
-        Unit unit = Unit::None;
+        Counter,
+        Scalar,
+        Distribution,
+        Histogram,
+        Vector,
+        Formula,
     };
 
-    void checkNew(const std::string &name) const;
+    struct Entry
+    {
+        void *stat;
+        const char *suffix; ///< a Literal's characters
+        const char *desc;   ///< a Literal's characters
+        std::uint32_t owner; ///< index into owners_
+        std::uint32_t hash;  ///< of the full name
+        std::uint32_t next;  ///< next entry + 1 in this bucket; 0 ends
+        std::uint16_t suffixLen;
+        Kind kind;
+        Unit unit;
+
+        std::string_view suffixView() const
+        {
+            return {suffix, suffixLen};
+        }
+
+        template <class T>
+        T &
+        as() const
+        {
+            return *static_cast<T *>(stat);
+        }
+    };
+
+    /** One owner name: a span of ownerChars_. */
+    struct OwnerName
+    {
+        std::uint32_t offset;
+        std::uint32_t len;
+    };
+
+    static constexpr std::size_t npos = ~std::size_t{0};
+
+    void insert(std::string_view owner, Literal suffix, Kind kind,
+                void *stat, Literal desc, Unit unit);
+
+    /** Index of the last owner, copying @p owner if it differs. */
+    std::uint32_t internOwner(std::string_view owner);
+    std::string_view ownerName(std::uint32_t id) const;
+
+    /** Append entry @p e's full name to @p out. */
+    void appendName(const Entry &e, std::string &out) const;
+    bool nameIs(const Entry &e, std::string_view name) const;
+
+    /** Entry index named @p name (of hash @p hash), or npos. */
+    std::size_t find(std::string_view name) const;
+    std::size_t find(std::string_view name, std::uint32_t hash) const;
+    /** Push entry @p idx onto, or take it off, its bucket's chain. */
+    void link(std::size_t idx);
+    void unlink(std::size_t idx);
+
+    /** Entry indices in byte-wise full-name order (cached). */
+    const std::vector<std::uint32_t> &sortedOrder() const;
+
+    /** Entry named @p name if it is of kind @p k, else nullptr. */
+    const Entry *findKind(std::string_view name, Kind k) const;
 
     /** Record a miss: warn once per name; panic in audit builds. */
-    void noteMiss(const std::string &name, const char *kind) const;
+    void noteMiss(std::string_view name, const char *kind) const;
 
-    std::map<std::string, Entry> entries_;
-    mutable std::set<std::string> warnedMisses_;
+    /** Entry @p i; entries live in fixed-size chunks. */
+    Entry &entry(std::size_t i) const
+    {
+        return chunks_[i / chunkSize_][i % chunkSize_];
+    }
+
+    /**
+     * Chunked rather than one vector: growth never copies or
+     * re-touches an entry, so registering n stats touches n entries
+     * of fresh memory once.
+     */
+    static constexpr std::size_t chunkSize_ = 256;
+    std::vector<std::unique_ptr<Entry[]>> chunks_;
+    std::size_t numEntries_ = 0;
+    std::string ownerChars_;
+    std::vector<OwnerName> owners_;
+    /** Full-name hash index: chain heads (entry index + 1). */
+    std::vector<std::uint32_t> buckets_;
+    /** add()'s full-name buffer, reused across calls. */
+    std::string scratch_;
+
+    mutable std::vector<std::uint32_t> order_;
+    mutable bool orderValid_ = false;
+    mutable std::set<std::string, std::less<>> warnedMisses_;
 };
 
 } // namespace pciesim::stats

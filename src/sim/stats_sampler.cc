@@ -36,7 +36,7 @@ StatsSampler::addRate(const std::string &series,
 void
 StatsSampler::init()
 {
-    statsRegistry().add(name() + ".samplesTaken", &samplesTaken_,
+    statsRegistry().add(name(), "samplesTaken", &samplesTaken_,
                         "periodic stats samples emitted",
                         stats::Unit::Count);
 }

@@ -1252,7 +1252,7 @@ Fabric::buildObservability()
         fabricLinks_ = [this] {
             return static_cast<double>(links_.size());
         };
-        reg.add("system.fabric.links", &fabricLinks_,
+        reg.add("system.fabric", "links", &fabricLinks_,
                 "PCIe links instantiated by the topology",
                 stats::Unit::Count);
         // Per-direction occupancy fraction of one wire at dump time.
@@ -1270,7 +1270,7 @@ Fabric::buildObservability()
             }
             return sum / (2.0 * static_cast<double>(links_.size()));
         };
-        reg.add("system.fabric.meanWireUtilization",
+        reg.add("system.fabric", "meanWireUtilization",
                 &fabricMeanWireUtil_,
                 "mean wire occupancy over every link direction",
                 stats::Unit::Ratio);
@@ -1284,7 +1284,7 @@ Fabric::buildObservability()
             }
             return top;
         };
-        reg.add("system.fabric.maxWireUtilization",
+        reg.add("system.fabric", "maxWireUtilization",
                 &fabricMaxWireUtil_,
                 "hottest single wire direction's occupancy",
                 stats::Unit::Ratio);
@@ -1294,7 +1294,7 @@ Fabric::buildObservability()
                 total += l->creditStallTicks();
             return static_cast<double>(total);
         };
-        reg.add("system.fabric.creditStallTicks",
+        reg.add("system.fabric", "creditStallTicks",
                 &fabricCreditStallTicks_,
                 "ticks any interface spent refusing TLPs for "
                 "replay-buffer credit, summed over the fabric",
@@ -1305,7 +1305,7 @@ Fabric::buildObservability()
                 n += l->acceptRefusals() > 0 ? 1 : 0;
             return static_cast<double>(n);
         };
-        reg.add("system.fabric.stalledLinks", &fabricStalledIfs_,
+        reg.add("system.fabric", "stalledLinks", &fabricStalledIfs_,
                 "links that refused at least one TLP for credit",
                 stats::Unit::Count);
     }
@@ -1329,11 +1329,11 @@ Fabric::buildObservability()
                              static_cast<double>(tx);
     };
     sim_.statsRegistry().add(
-        "system.replayFraction", &replayFraction_,
-        two ? "replayed / transmitted TLPs, device-side interfaces "
-              "of both links"
-            : "replayed / transmitted TLPs, device-side interfaces "
-              "of all links",
+        "system", "replayFraction", &replayFraction_,
+        two ? stats::Literal("replayed / transmitted TLPs, "
+                             "device-side interfaces of both links")
+            : stats::Literal("replayed / transmitted TLPs, "
+                             "device-side interfaces of all links"),
         stats::Unit::Ratio);
     timeoutFraction_ = [this] {
         std::uint64_t tx = 0;
@@ -1347,11 +1347,13 @@ Fabric::buildObservability()
                              static_cast<double>(tx);
     };
     sim_.statsRegistry().add(
-        "system.timeoutFraction", &timeoutFraction_,
-        two ? "replay-timer timeouts / transmitted TLPs, "
-              "device-side interfaces of both links"
-            : "replay-timer timeouts / transmitted TLPs, "
-              "device-side interfaces of all links",
+        "system", "timeoutFraction", &timeoutFraction_,
+        two ? stats::Literal("replay-timer timeouts / transmitted "
+                             "TLPs, device-side interfaces of both "
+                             "links")
+            : stats::Literal("replay-timer timeouts / transmitted "
+                             "TLPs, device-side interfaces of all "
+                             "links"),
         stats::Unit::Ratio);
 }
 

@@ -294,7 +294,7 @@ TEST(StatsDumperTest, EpochBannersResetAndFinalFlush)
 
     Simulation sim;
     stats::Counter fires;
-    sim.statsRegistry().add("ticker.fires", &fires,
+    sim.statsRegistry().add("ticker", "fires", &fires,
                             "ticker invocations");
     StatsDumper dumper(sim, "dumper", 100, path);
     int seen = 0;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
@@ -114,6 +116,20 @@ TEST(StatsHistogram, WeightedSamplesAndReset)
     EXPECT_EQ(h.min(), 0u);
 }
 
+TEST(StatsHistogram, EmptyReadsZeroAndResets)
+{
+    Histogram h;
+    EXPECT_EQ(h.quantile(0.0), 0u);
+    EXPECT_EQ(h.quantile(0.99), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 0u);
+    h.reset();
+    EXPECT_EQ(h.samples(), 0u);
+    h.sample(5);
+    EXPECT_EQ(h.quantile(0.5), 5u);
+}
+
 TEST(StatsHistogram, HandlesHugeValues)
 {
     Histogram h;
@@ -131,7 +147,7 @@ TEST(StatsRegistry, HistogramDumpAndLookup)
     Histogram h;
     for (std::uint64_t i = 1; i <= 100; ++i)
         h.sample(i);
-    r.add("x.lat", &h, "latency (ticks)");
+    r.add("x", "lat", &h, "latency (ticks)");
     EXPECT_EQ(r.histogram("x.lat"), &h);
     EXPECT_EQ(r.histogram("missing"), nullptr);
     std::ostringstream os;
@@ -151,8 +167,8 @@ TEST(StatsRegistry, LooksUpByName)
     Scalar s;
     c += 7;
     s = 3.5;
-    r.add("a.counter", &c);
-    r.add("a.scalar", &s);
+    r.add("a", "counter", &c);
+    r.add("a", "scalar", &s);
     EXPECT_EQ(r.counterValue("a.counter"), 7u);
     EXPECT_DOUBLE_EQ(r.scalarValue("a.scalar"), 3.5);
     EXPECT_TRUE(r.has("a.counter"));
@@ -165,7 +181,7 @@ TEST(StatsRegistry, MissingLookupWarnsAndReturnsZero)
         GTEST_SKIP() << "lookup misses panic under audit";
     Registry r;
     Counter c;
-    r.add("present", &c);
+    r.add("", "present", &c);
     // The silent-zero trap is now a warn-once: the value is still 0
     // (so old readouts keep working) but the miss is loud.
     EXPECT_EQ(r.counterValue("missing"), 0u);
@@ -191,8 +207,8 @@ TEST(StatsRegistry, TryLookupsReportPresence)
     Scalar s;
     c += 9;
     s = 1.25;
-    r.add("c", &c);
-    r.add("s", &s);
+    r.add("", "c", &c);
+    r.add("", "s", &s);
     ASSERT_TRUE(r.tryCounter("c").has_value());
     EXPECT_EQ(*r.tryCounter("c"), 9u);
     ASSERT_TRUE(r.tryScalar("s").has_value());
@@ -209,7 +225,7 @@ TEST(StatsRegistry, DumpContainsNamesValuesAndDescriptions)
     Registry r;
     Counter c;
     c += 42;
-    r.add("x.count", &c, "things counted");
+    r.add("x", "count", &c, "things counted");
     std::ostringstream os;
     r.dump(os);
     EXPECT_NE(os.str().find("x.count"), std::string::npos);
@@ -227,9 +243,9 @@ TEST(StatsRegistry, ResetAllZeroesEverything)
     c += 3;
     s = 1.0;
     d.sample(5);
-    r.add("c", &c);
-    r.add("s", &s);
-    r.add("d", &d);
+    r.add("", "c", &c);
+    r.add("", "s", &s);
+    r.add("", "d", &d);
     r.resetAll();
     EXPECT_EQ(c.value(), 0u);
     EXPECT_DOUBLE_EQ(s.value(), 0.0);
@@ -241,8 +257,8 @@ TEST(StatsRegistry, DuplicateNamePanics)
     setLoggingThrows(true);
     Registry r;
     Counter a, b;
-    r.add("dup", &a);
-    EXPECT_THROW(r.add("dup", &b), PanicError);
+    r.add("", "dup", &a);
+    EXPECT_THROW(r.add("", "dup", &b), PanicError);
     setLoggingThrows(false);
 }
 
@@ -294,7 +310,7 @@ TEST(StatsVector, DumpExpandsElementsAndTotal)
     v.subname(0, "rx");
     v.subname(1, "tx");
     ++v[1];
-    r.add("link.pkts", &v, "packets per direction");
+    r.add("link", "pkts", &v, "packets per direction");
     std::ostringstream os;
     r.dump(os);
     EXPECT_NE(os.str().find("link.pkts.rx"), std::string::npos);
@@ -314,7 +330,7 @@ TEST(StatsFormula, EvaluatesAtReadTime)
                    : static_cast<double>(num.value()) /
                          static_cast<double>(den.value());
     });
-    r.add("frac", &frac, "live ratio", Unit::Ratio);
+    r.add("", "frac", &frac, "live ratio", Unit::Ratio);
     EXPECT_DOUBLE_EQ(r.formulaValue("frac"), 0.0);
     num += 1;
     den += 4;
@@ -335,7 +351,7 @@ TEST(StatsRegistry, RemoveUnregisters)
 {
     Registry r;
     Formula f([] { return 1.0; });
-    r.add("transient", &f);
+    r.add("", "transient", &f);
     EXPECT_TRUE(r.has("transient"));
     EXPECT_TRUE(r.remove("transient"));
     EXPECT_FALSE(r.has("transient"));
@@ -343,8 +359,95 @@ TEST(StatsRegistry, RemoveUnregisters)
     // The name is free for re-registration (the dd workload's
     // register-in-ctor / remove-in-dtor pattern relies on this).
     Formula g([] { return 2.0; });
-    r.add("transient", &g);
+    r.add("", "transient", &g);
     EXPECT_DOUBLE_EQ(r.formulaValue("transient"), 2.0);
+}
+
+TEST(StatsRegistry, RemoveKeepsTheRestFindable)
+{
+    Registry r;
+    std::vector<Counter> c(200);
+    static constexpr const char *owners[] = {"sys.a", "sys.b"};
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        c[i] += i;
+        r.add(std::string(owners[i % 2]) + ".n" + std::to_string(i),
+              "count", &c[i]);
+    }
+    auto name = [&](std::size_t i) {
+        return std::string(owners[i % 2]) + ".n" + std::to_string(i) +
+               ".count";
+    };
+    for (std::size_t i = 0; i < c.size(); i += 3)
+        EXPECT_TRUE(r.remove(name(i)));
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        EXPECT_EQ(r.has(name(i)), i % 3 != 0) << name(i);
+        if (i % 3 != 0) {
+            EXPECT_EQ(r.counterValue(name(i)), i);
+        }
+    }
+    // Re-adding a removed name works, under the same owner split.
+    for (std::size_t i = 0; i < c.size(); i += 3) {
+        r.add(std::string(owners[i % 2]) + ".n" + std::to_string(i),
+              "count", &c[i]);
+    }
+    for (std::size_t i = 0; i < c.size(); ++i)
+        EXPECT_EQ(r.counterValue(name(i)), i) << name(i);
+}
+
+TEST(StatsRegistry, DumpOrderIsByteWiseFullNameOrder)
+{
+    // Ordering by owner would put "sys.sw0" (a prefix of
+    // "sys.sw0.dp1") first; by full name ".dp1.x" < ".fwd".
+    Registry r;
+    Counter fwd, x;
+    r.add("sys.sw0", "fwd", &fwd);
+    r.add("sys.sw0.dp1", "x", &x);
+    std::ostringstream text;
+    r.dump(text);
+    EXPECT_LT(text.str().find("sys.sw0.dp1.x"),
+              text.str().find("sys.sw0.fwd"));
+    std::ostringstream json;
+    r.dumpJson(json);
+    EXPECT_LT(json.str().find("\"sys.sw0.dp1.x\""),
+              json.str().find("\"sys.sw0.fwd\""));
+
+    // The cached order follows a later add.
+    Counter a;
+    r.add("sys", "a", &a);
+    std::ostringstream again;
+    r.dump(again);
+    EXPECT_LT(again.str().find("sys.a "), again.str().find("sys.sw0"));
+}
+
+TEST(StatsRegistry, DottedSuffixLookupAndMisses)
+{
+    Registry r;
+    Formula util([] { return 0.5; });
+    r.add("system.link0", "wireUp.utilization", &util, "",
+          Unit::Ratio);
+    EXPECT_TRUE(r.has("system.link0.wireUp.utilization"));
+    EXPECT_DOUBLE_EQ(r.formulaValue("system.link0.wireUp.utilization"),
+                     0.5);
+    EXPECT_FALSE(r.has("system.link0.wireUp"));
+    EXPECT_FALSE(r.has("system.link0"));
+    EXPECT_FALSE(r.has("system.link0.wireUp.utilizatio"));
+    EXPECT_FALSE(r.has(""));
+    EXPECT_FALSE(
+        r.tryCounter("system.link0.wireUp.utilization").has_value());
+    EXPECT_FALSE(r.tryCounter("system.link1.wireUp.utilization")
+                     .has_value());
+}
+
+TEST(StatsRegistry, SameFullNameFromAnotherSplitPanics)
+{
+    setLoggingThrows(true);
+    Registry r;
+    Counter a, b;
+    r.add("a.b", "c", &a);
+    EXPECT_THROW(r.add("a", "b.c", &b), PanicError);
+    EXPECT_THROW(r.add("", "a.b.c", &b), PanicError);
+    EXPECT_EQ(r.counterValue("a.b.c"), 0u);
+    setLoggingThrows(false);
 }
 
 TEST(StatsRegistry, DumpShowsUnits)
@@ -352,8 +455,8 @@ TEST(StatsRegistry, DumpShowsUnits)
     Registry r;
     Counter c;
     Scalar s;
-    r.add("bytes", &c, "payload", Unit::Byte);
-    r.add("plain", &s, "unitless");
+    r.add("", "bytes", &c, "payload", Unit::Byte);
+    r.add("", "plain", &s, "unitless");
     std::ostringstream os;
     r.dump(os);
     EXPECT_NE(os.str().find("(byte)"), std::string::npos);
@@ -375,9 +478,9 @@ TEST(StatsRegistry, DumpJsonIsVersionedAndComplete)
     v.subname(0, "a");
     ++v[1];
     h.sample(7);
-    r.add("count", &c, "a \"quoted\" desc", Unit::Count);
-    r.add("vec", &v, "", Unit::Count);
-    r.add("hist", &h, "", Unit::Tick);
+    r.add("", "count", &c, "a \"quoted\" desc", Unit::Count);
+    r.add("", "vec", &v, "", Unit::Count);
+    r.add("", "hist", &h, "", Unit::Tick);
     std::ostringstream os;
     r.dumpJson(os, 1234, 2);
     const std::string out = os.str();
