@@ -87,16 +87,4 @@ ConfigSpace::mask32(unsigned offset, std::uint32_t writable)
         wmask_[offset + i] = (writable >> (8 * i)) & 0xff;
 }
 
-std::uint16_t
-ConfigSpace::raw16(unsigned offset) const
-{
-    return static_cast<std::uint16_t>(read(offset, 2));
-}
-
-std::uint32_t
-ConfigSpace::raw32(unsigned offset) const
-{
-    return read(offset, 4);
-}
-
 } // namespace pciesim

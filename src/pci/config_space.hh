@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "pci/config_regs.hh"
+#include "sim/invariant.hh"
 
 namespace pciesim
 {
@@ -48,10 +49,35 @@ class ConfigSpace
     void mask32(unsigned offset, std::uint32_t writable);
     /** @} */
 
-    /** Hardware-side raw readback. */
+    /** @{
+     * Hardware-side raw readback: direct little-endian byte reads
+     * for the routing hot path (bridge windows and command bits are
+     * read on every forwarding decision). Offsets are the model's
+     * own register constants, so the bounds and alignment check of
+     * software accesses is an audit here.
+     */
     std::uint8_t raw8(unsigned offset) const { return data_[offset]; }
-    std::uint16_t raw16(unsigned offset) const;
-    std::uint32_t raw32(unsigned offset) const;
+
+    std::uint16_t
+    raw16(unsigned offset) const
+    {
+        PCIESIM_AUDIT(offset % 2 == 0 && offset + 2 <= data_.size(),
+                      "bad raw16 config read at offset ", offset);
+        return static_cast<std::uint16_t>(
+            data_[offset] | (data_[offset + 1] << 8));
+    }
+
+    std::uint32_t
+    raw32(unsigned offset) const
+    {
+        PCIESIM_AUDIT(offset % 4 == 0 && offset + 4 <= data_.size(),
+                      "bad raw32 config read at offset ", offset);
+        return static_cast<std::uint32_t>(data_[offset]) |
+               (static_cast<std::uint32_t>(data_[offset + 1]) << 8) |
+               (static_cast<std::uint32_t>(data_[offset + 2]) << 16) |
+               (static_cast<std::uint32_t>(data_[offset + 3]) << 24);
+    }
+    /** @} */
 
     /** Hardware-side update of a register (e.g. status bits). */
     void update16(unsigned offset, std::uint16_t v) { init16(offset, v); }

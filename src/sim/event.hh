@@ -9,9 +9,9 @@
  * EventFunctionWrapper binds an arbitrary callable for everything
  * else.
  *
- * Events are intrusive: the queue stores each event's heap slot in
- * the event itself (heapIndex_), which makes deschedule/reschedule
- * true O(log n) sift operations with no stale heap entries. Event
+ * Events are intrusive: the queue stores each event's tier-tagged
+ * slot index in the event itself (slot_), so deschedule/reschedule
+ * act on the live entry and leave no stale queue entries. Event
  * names are C strings, interned eagerly when the event is
  * constructed (under one process-wide mutex), so an event carries
  * no std::string storage.
@@ -69,7 +69,7 @@ class Event
     virtual void process() = 0;
 
     /** Whether the event is currently in an event queue. */
-    bool scheduled() const { return heapIndex_ != invalidHeapIndex; }
+    bool scheduled() const { return slot_ != invalidSlot; }
 
     /** Tick the event will fire at; only valid when scheduled(). */
     Tick when() const { return when_; }
@@ -79,13 +79,17 @@ class Event
   private:
     friend class EventQueue;
 
-    static constexpr std::size_t invalidHeapIndex =
+    static constexpr std::size_t invalidSlot =
         ~static_cast<std::size_t>(0);
 
     const char *name_;
     Tick when_ = 0;
-    /** Slot in the owning queue's heap array; invalid when idle. */
-    std::size_t heapIndex_ = invalidHeapIndex;
+    /**
+     * Slot in the owning queue, invalid when idle: a near-tier
+     * array position, or a far-tier heap index tagged with
+     * EventQueue::farTag.
+     */
+    std::size_t slot_ = invalidSlot;
 };
 
 /** An event that runs a bound callable when it fires. */

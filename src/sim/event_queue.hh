@@ -17,22 +17,41 @@ namespace pciesim
 {
 
 /**
- * An indexed d-ary (4-ary) min-heap event queue with deterministic
- * same-tick ordering.
+ * A two-tier event queue with deterministic same-tick ordering.
  *
- * Each event carries its heap slot (Event::heapIndex_), so
- * deschedule and reschedule are true O(log n) sift operations on
- * the live entry: no stale heap entries, no skim pass on pop, and
- * no unbounded heap growth under heavy retry/replay-timer churn.
- * The heap stores the (when, order, tie) sort key by value next to the
- * event pointer, so sift comparisons stay within the contiguous
- * slot array instead of chasing Event pointers. A 4-ary layout
- * halves the tree depth of a binary heap and keeps the child scan
- * inside two cache lines of slots.
+ * Discrete-event runs keep only a few events pending per queue (a
+ * dozen on a storage dd, a handful per link domain), and at that
+ * size a heap's unpredictable sift branches cost more than the
+ * ordering they buy. So the earliest events live in a short sorted
+ * array and only the rest in a heap (gem5 keeps a sorted list of
+ * same-tick bins for the same reason):
+ *
+ *  - Near tier: at most nearCap slots sorted latest-first, so the
+ *    next event is the last slot and a pop is a pop_back. An insert
+ *    is an insertion-sort step from the earliest end, one
+ *    predictable exit branch.
+ *  - Far tier: an indexed 4-ary min-heap holding everything later.
+ *    A 4-ary layout halves the tree depth of a binary heap and
+ *    keeps the child scan inside two cache lines of slots.
+ *  - Invariant: every near key orders before every far key, and
+ *    the near tier is empty only when the queue is. When the near
+ *    tier drains it is refilled from the heap in one batch; an
+ *    insert into a full near tier evicts its latest slot to the
+ *    heap.
+ *
+ * Both tiers store the (when, order, tie) sort key by value next to
+ * the event pointer, so comparisons stay within contiguous slot
+ * arrays instead of chasing Event pointers. Each event carries its
+ * tier-tagged slot index (Event::slot_), so deschedule and
+ * reschedule act on the live entry: no stale entries, no skim pass
+ * on pop. A far-tier reschedule whose new key stays in the far tier
+ * is one in-place sift.
  *
  * Ordering: earliest tick first; events at the same tick fire in
  * scheduling order (a monotone order counter assigned on every
  * schedule/reschedule), which keeps simulations deterministic.
+ * Keys are unique, so the pop order is that of any exact priority
+ * queue on them; the tiers change host cost only.
  *
  * Parallel mode (DESIGN.md §10): when a simulation is partitioned
  * into link domains, each domain's queue runs in keyed mode
@@ -68,17 +87,17 @@ class EventQueue
 
     /**
      * Move a scheduled (or unscheduled) event to tick @p when.
-     * A single in-place sift: the event keeps one heap slot and
-     * the live-event count is unchanged (no deschedule+schedule
-     * double accounting).
+     * The event moves within its tier when its new key stays
+     * there, and the live-event count is unchanged (no
+     * deschedule+schedule double accounting).
      */
     void reschedule(Event *event, Tick when);
 
     /** Whether any live events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return near_.empty(); }
 
-    /** Number of live (scheduled) events == heap occupancy. */
-    std::size_t size() const { return heap_.size(); }
+    /** Number of live (scheduled) events in both tiers. */
+    std::size_t size() const { return near_.size() + far_.size(); }
 
     /**
      * Run until the queue is empty or @p maxTick is passed.
@@ -95,7 +114,7 @@ class EventQueue
     /** Tick of the next live event, or maxTick when empty. */
     Tick nextTick() const
     {
-        return heap_.empty() ? maxTick : heap_[0].when;
+        return near_.empty() ? maxTick : near_.back().when;
     }
 
     /** Total number of events processed so far. */
@@ -104,7 +123,7 @@ class EventQueue
     /** @{
      * Parallel-execution hooks (sim/parallel.hh; DESIGN.md §10).
      * A queue in keyed mode derives same-tick tiebreaks from
-     * (scheduling tick, domain, per-domain serial) so heap order is
+     * (scheduling tick, domain, per-domain serial) so queue order is
      * independent of worker-thread interleaving.
      */
 
@@ -172,19 +191,35 @@ class EventQueue
     /** @} */
 
     /**
-     * Full structural audit (audit builds; otherwise a no-op):
-     * every slot's event points back at its slot, carries the same
-     * tick as its by-value sort key, and satisfies d-ary heap order
-     * against its parent. O(n); called every auditPeriod mutations
-     * and directly by tests.
+     * Full structural audit of both tiers (audit builds; otherwise
+     * a no-op): the near tier is sorted latest-first and no larger
+     * than nearCap, it is empty only if the far tier is, its latest
+     * key orders before the far tier's earliest, every slot's event
+     * carries that slot's tier-tagged index and the slot's tick,
+     * and the far tier satisfies d-ary heap order. O(n); called
+     * every auditPeriod mutations and directly by tests.
      */
-    void auditHeap() const;
+    void auditTiers() const;
 
   private:
-    /** Heap arity; 4 empirically beats 2 for slot heaps. */
+    /** Far-tier heap arity; 4 empirically beats 2 for slot heaps. */
     static constexpr std::size_t arity = 4;
 
-    /** One heap entry: the sort key by value plus the event.
+    /** Near-tier capacity, and the batch a drained near tier
+     *  refills with. Chosen on replayed op traces of perfbench
+     *  dd_storage and mmio_nic (4-12 pending) and of fabric256_d2
+     *  and fanout256 at --threads 0 (300+ pending): 16 was no
+     *  faster than the plain heap on fanout256, 64 was faster on
+     *  all four, and a half-tier refill batch measured the same
+     *  as a full one. */
+    static constexpr std::size_t nearCap = 64;
+
+    /** Tag bit of a far-tier Event::slot_; near slots are untagged
+     *  and Event::invalidSlot is neither. */
+    static constexpr std::size_t farTag =
+        static_cast<std::size_t>(1) << (8 * sizeof(std::size_t) - 2);
+
+    /** One queue entry: the sort key by value plus the event.
      *  32 bytes, so the 4-ary child scan still spans at most two
      *  cache lines of slots. Legacy mode uses (when, order) with
      *  tie = 0; keyed mode uses (when, scheduling tick, domain |
@@ -207,27 +242,67 @@ class EventQueue
         return a.tie < b.tie;
     }
 
+    void
+    setNear(std::size_t p, const Slot &s)
+    {
+        near_[p] = s;
+        s.event->slot_ = p;
+    }
+
+    void
+    setFar(std::size_t i, const Slot &s)
+    {
+        far_[i] = s;
+        s.event->slot_ = farTag | i;
+    }
+
+    /** Enter a new slot into whichever tier its key belongs to. */
+    void insert(const Slot &s);
+    /** Give the scheduled @p event the key of @p s, moving it
+     *  within or between tiers. */
+    void requeue(Event *event, const Slot &s);
+    /** Write @p s into near position @p p, moving it by one
+     *  insertion-sort pass in whichever direction its key orders. */
+    void placeNear(std::size_t p, const Slot &s);
+    /** Detach the event at near position @p p. */
+    void nearRemoveAt(std::size_t p);
+    /** Refill a drained near tier with the heap's earliest
+     *  nearCap slots. */
+    void
+    refillIfDrained()
+    {
+        if (near_.empty() && !far_.empty()) [[unlikely]]
+            refill();
+    }
+    void refill();
+
+    void farPush(const Slot &s);
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
-    /** Re-establish heap order for slot @p i in either direction. */
+    /** Re-establish heap order for far slot @p i in either
+     *  direction. */
     void siftAny(std::size_t i);
-    /** Detach the event at slot @p i, refilling from the back. */
-    void removeAt(std::size_t i);
+    /** Detach the event at far slot @p i, refilling from the
+     *  back. */
+    void farRemoveAt(std::size_t i);
 
-    /** Audit builds: run auditHeap() every auditPeriod mutations. */
+    /** Audit builds: run auditTiers() every auditPeriod mutations. */
     void
-    maybeAuditHeap()
+    maybeAudit()
     {
         PCIESIM_AUDIT_ONLY(
             if ((++auditCounter_ % auditPeriod) == 0)
-                auditHeap();
+                auditTiers();
         )
     }
 
-    /** Mutations between full heap audits (audits are O(n)). */
+    /** Mutations between full audits (audits are O(n)). */
     PCIESIM_AUDIT_ONLY(static constexpr std::uint64_t auditPeriod = 64;)
 
-    std::vector<Slot> heap_;
+    /** Near tier, latest first: near_.back() is the next event. */
+    std::vector<Slot> near_;
+    /** Far tier: 4-ary min-heap of the keys after near_.front(). */
+    std::vector<Slot> far_;
     Tick curTick_ = 0;
     std::uint64_t nextOrder_ = 0;
     std::uint64_t numProcessed_ = 0;

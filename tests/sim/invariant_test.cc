@@ -40,25 +40,43 @@ TEST(InvariantTest, AuditOnlyCodeMatchesBuildMode)
 
 TEST(InvariantTest, HealthyEventQueuePassesHeapAudit)
 {
+    // 200 events: far past the near tier's capacity, so growing and
+    // draining one event at a time crosses the tier boundary both
+    // ways, with evictions on the way up and refills on the way
+    // down.
     EventQueue q;
     std::vector<std::unique_ptr<EventFunctionWrapper>> events;
-    for (int i = 0; i < 64; ++i) {
+    for (int i = 0; i < 200; ++i) {
         events.push_back(std::make_unique<EventFunctionWrapper>(
             [] {}, "invariant.test.event"));
     }
-    for (int i = 0; i < 64; ++i)
-        q.schedule(events[i].get(), (i * 37) % 29);
-    q.auditHeap();
+    for (int i = 0; i < 200; ++i) {
+        q.schedule(events[i].get(), (i * 37) % 29 + (i % 3) * 1000);
+        q.auditTiers();
+    }
 
-    // Deschedule a few from the middle, reschedule others, audit
-    // after each mutation shape.
+    // Deschedule and reschedule in both tiers, and move events
+    // between them; audit after each mutation shape.
     q.deschedule(events[10].get());
     q.deschedule(events[20].get());
-    q.reschedule(events[30].get(), 1000);
-    q.auditHeap();
+    q.deschedule(events[151].get());
+    q.auditTiers();
+    q.reschedule(events[30].get(), 5000);
+    q.reschedule(events[199].get(), 0);
+    q.reschedule(events[152].get(), 1500);
+    q.auditTiers();
 
+    while (q.step())
+        q.auditTiers();
+    EXPECT_TRUE(q.empty());
+
+    // And back up past the boundary from empty.
+    for (int i = 0; i < 100; ++i) {
+        q.schedule(events[i].get(), q.curTick() + (i * 13) % 7);
+        q.auditTiers();
+    }
     q.run();
-    q.auditHeap();
+    q.auditTiers();
     EXPECT_TRUE(q.empty());
 }
 
