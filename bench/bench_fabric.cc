@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <string>
 
+#include <sys/resource.h>
+
 #include "bench_common.hh"
 #include "topo/fabric_builder.hh"
 
@@ -45,6 +47,25 @@ rssKb()
     }
 #endif
     return kb;
+}
+
+/**
+ * CPU time of the whole process, every thread, in ms (0 under
+ * --no-timing). Unlike wall time it does not count the time a
+ * shared host spends running other processes.
+ */
+double
+cpuMs()
+{
+    if (globalArgs().noTiming)
+        return 0.0;
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto ms = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) * 1e3 +
+               static_cast<double>(tv.tv_usec) / 1e3;
+    };
+    return ms(ru.ru_utime) + ms(ru.ru_stime);
 }
 
 /** One generated sweep shape. */
@@ -170,6 +191,7 @@ runFabric(JsonEmitter &json, const std::string &label,
     }
 
     WallTimer run_timer;
+    double cpu_start_ms = cpuMs();
     double gbps = 0.0;
     if (fabric.numTrafficGens() > 0) {
         gbps = fabric.runDirectWrites(bursts, burst_bytes);
@@ -181,6 +203,7 @@ runFabric(JsonEmitter &json, const std::string &label,
         fabric.boot();
     }
     double wall_ms = run_timer.elapsedMs();
+    double cpu_ms = cpuMs() - cpu_start_ms;
 
     unsigned endpoints = fabric.numTrafficGens() +
                          fabric.numDisks() + fabric.numNics();
@@ -222,6 +245,7 @@ runFabric(JsonEmitter &json, const std::string &label,
                                        sim.curTick())},
                      {"events", events},
                      {"events_per_sec", eps},
+                     {"cpu_ms", cpu_ms},
                      {"rss_kb_per_endpoint", rss_per_ep},
                      {"gbps", gbps},
                      {"threads", static_cast<double>(

@@ -16,7 +16,6 @@
 #ifndef PCIESIM_MEM_PACKET_QUEUE_HH
 #define PCIESIM_MEM_PACKET_QUEUE_HH
 
-#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
@@ -25,6 +24,7 @@
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/ring.hh"
 #include "sim/ticks.hh"
 
 namespace pciesim
@@ -164,7 +164,7 @@ class PacketQueue
     Tick serviceInterval_;
     MemberEventWrapper<PacketQueue, &PacketQueue::processSend> sendEvent_;
     std::function<void()> onSpaceFreed_;
-    std::deque<Entry> queue_;
+    Ring<Entry> queue_;
     Tick nextSendAllowed_ = 0;
     bool blocked_ = false;
 };

@@ -1,7 +1,8 @@
 /**
  * @file
  * Backing store for a function's 4 KB configuration space with
- * per-bit write masks.
+ * per-bit write masks. Only the prefix that holds registers is
+ * stored; the rest of the space reads as zero.
  */
 
 #ifndef PCIESIM_PCI_CONFIG_SPACE_HH
@@ -23,10 +24,20 @@ namespace pciesim
  * per-bit write mask so read-only registers keep their hardware
  * values. The owning device initialises registers and masks with the
  * raw init*()/mask*() methods.
+ *
+ * Every register the model defines lies below storedSize (R1, R2
+ * and the AER extended capability at the start of R3), so only
+ * that prefix is stored. Software reads above it return 0 and
+ * writes there are dropped, as if the bytes were read-only zeros;
+ * init*()/mask*() above it panic.
  */
 class ConfigSpace
 {
   public:
+    /** Bytes backed by storage: R1 + R2 + the AER capability. */
+    static constexpr unsigned storedSize =
+        cfg::extendedCapBase + cfg::aerCapSize;
+
     ConfigSpace();
 
     /** Software read of 1, 2, or 4 bytes. */
@@ -56,7 +67,13 @@ class ConfigSpace
      * own register constants, so the bounds and alignment check of
      * software accesses is an audit here.
      */
-    std::uint8_t raw8(unsigned offset) const { return data_[offset]; }
+    std::uint8_t
+    raw8(unsigned offset) const
+    {
+        PCIESIM_AUDIT(offset < data_.size(),
+                      "bad raw8 config read at offset ", offset);
+        return data_[offset];
+    }
 
     std::uint16_t
     raw16(unsigned offset) const
@@ -84,9 +101,15 @@ class ConfigSpace
 
   private:
     void checkAccess(unsigned offset, unsigned size) const;
+    /** Panic unless [offset, offset + size) is stored. */
+    void checkStored(unsigned offset, unsigned size) const;
 
-    std::array<std::uint8_t, cfg::pcieConfigSize> data_{};
-    std::array<std::uint8_t, cfg::pcieConfigSize> wmask_{};
+    // An aligned access of at most 4 bytes lies wholly inside or
+    // wholly outside the stored prefix.
+    static_assert(storedSize % 4 == 0);
+
+    std::array<std::uint8_t, storedSize> data_{};
+    std::array<std::uint8_t, storedSize> wmask_{};
 };
 
 } // namespace pciesim

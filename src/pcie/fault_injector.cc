@@ -49,9 +49,14 @@ FaultInjector::corruptsNext(const PciePkt &pkt, Tick now)
     // Draw for every packet whenever a bit-error rate is set: the
     // stream position then depends only on the packet count, not on
     // which packets the scripted faults already hit.
-    if (params_.bitErrorRate > 0.0 &&
-        rng_.bernoulli(corruptProbability(pkt.wireSymbols()))) {
-        corrupt = true;
+    if (params_.bitErrorRate > 0.0) {
+        LastProbability &last = lastProbability_[pkt.isTlp()];
+        if (pkt.wireSymbols() != last.symbols) {
+            last.symbols = pkt.wireSymbols();
+            last.p = corruptProbability(last.symbols);
+        }
+        if (rng_.bernoulli(last.p))
+            corrupt = true;
     }
 
     if (corrupt)

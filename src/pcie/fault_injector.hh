@@ -88,9 +88,19 @@ class FaultInjector
     double corruptProbability(unsigned symbols) const;
 
   private:
+    /** The last packet size seen and its corruptProbability(). */
+    struct LastProbability
+    {
+        unsigned symbols = ~0u;
+        double p = 0.0;
+    };
+
     FaultInjectorParams params_;
     /** Encoded wire bits per symbol for the BER conversion. */
     double bitsPerSymbol_;
+    /** Per packet kind (index: isTlp()): most packets of a kind
+     *  share a size, so log1p/expm1 run once per size change. */
+    LastProbability lastProbability_[2];
     Rng rng_;
     std::uint64_t tlpsSeen_ = 0;
     std::uint64_t dllpsSeen_ = 0;

@@ -29,7 +29,6 @@
 #define PCIESIM_PCIE_PCIE_LINK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -42,6 +41,7 @@
 #include "pcie/pcie_timing.hh"
 #include "pcie/replay_buffer.hh"
 #include "sim/invariant.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
@@ -221,7 +221,7 @@ class UnidirectionalLink
         std::uint64_t keyTie;
         PciePkt pkt;
     };
-    std::deque<InFlight> inFlight_;
+    Ring<InFlight> inFlight_;
     /** Guards inFlight_; taken on cut wires only. */
     std::mutex inFlightMu_;
     MemberEventWrapper<UnidirectionalLink,
@@ -381,9 +381,9 @@ class LinkInterface
     SeqNum recvSeq_ = 0;
 
     /** Accepted TLPs waiting for first transmission. */
-    std::deque<PciePkt> newQueue_;
+    Ring<PciePkt> newQueue_;
     /** TLPs queued for retransmission after a timeout. */
-    std::deque<PciePkt> replayQueue_;
+    Ring<PciePkt> replayQueue_;
     /** Coalesced pending ACK. */
     bool ackPending_ = false;
     SeqNum ackSeq_ = 0;

@@ -10,11 +10,10 @@
 #ifndef PCIESIM_PCIE_REPLAY_BUFFER_HH
 #define PCIESIM_PCIE_REPLAY_BUFFER_HH
 
-#include <deque>
-
 #include "pcie/pcie_pkt.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
+#include "sim/ring.hh"
 
 namespace pciesim
 {
@@ -96,7 +95,7 @@ class ReplayBuffer
     }
 
     /** Iterate resident TLPs in sequence order (for replay). */
-    const std::deque<PciePkt> &entries() const { return entries_; }
+    const Ring<PciePkt> &entries() const { return entries_; }
 
     PCIESIM_AUDIT_ONLY(
     /**
@@ -107,7 +106,7 @@ class ReplayBuffer
     void
     corruptSeqForAuditTest(std::size_t i, SeqNum seq)
     {
-        entries_.at(i) = PciePkt::makeTlp(entries_.at(i).tlp(), seq);
+        entries_[i] = PciePkt::makeTlp(entries_[i].tlp(), seq);
         auditSeqOrder();
     })
 
@@ -131,7 +130,7 @@ class ReplayBuffer
     }
 
     std::size_t capacity_;
-    std::deque<PciePkt> entries_;
+    Ring<PciePkt> entries_;
     std::size_t highWater_ = 0;
 };
 

@@ -169,9 +169,24 @@ Histogram::sample(std::uint64_t v, std::uint64_t count)
         max_ = v;
     samples_ += count;
     sum_ += v * count;
-    if (!buckets_)
-        buckets_ = std::make_unique<std::uint64_t[]>(numBuckets_);
-    buckets_[bucketIndex(v)] += count;
+    std::size_t idx = bucketIndex(v);
+    if (!buckets_ || idx < lo_ || idx > hi_)
+        cover(idx);
+    buckets_[idx - lo_] += count;
+}
+
+void
+Histogram::cover(std::size_t idx)
+{
+    std::size_t lo = buckets_ ? std::min<std::size_t>(lo_, idx) : idx;
+    std::size_t hi = buckets_ ? std::max<std::size_t>(hi_, idx) : idx;
+    auto grown = std::make_unique<std::uint64_t[]>(hi - lo + 1);
+    if (buckets_)
+        std::copy_n(buckets_.get(), hi_ - lo_ + 1,
+                    grown.get() + (lo_ - lo));
+    buckets_ = std::move(grown);
+    lo_ = static_cast<std::uint16_t>(lo);
+    hi_ = static_cast<std::uint16_t>(hi);
 }
 
 double
@@ -191,12 +206,10 @@ Histogram::quantile(double q) const
     auto target = static_cast<std::uint64_t>(
         q * static_cast<double>(samples_ - 1));
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < numBuckets_; ++i) {
-        cum += buckets_[i];
-        if (cum > target) {
-            std::uint64_t mid = bucketMidpoint(i);
-            return std::clamp(mid, min_, max_);
-        }
+    for (std::size_t i = lo_; i <= hi_; ++i) {
+        cum += buckets_[i - lo_];
+        if (cum > target)
+            return std::clamp(bucketMidpoint(i), min_, max_);
     }
     return max_;
 }
@@ -205,7 +218,7 @@ void
 Histogram::reset()
 {
     if (buckets_)
-        std::fill_n(buckets_.get(), numBuckets_, 0);
+        std::fill_n(buckets_.get(), hi_ - lo_ + 1, 0);
     samples_ = 0;
     sum_ = 0;
     min_ = 0;
@@ -227,12 +240,42 @@ hashName(std::string_view name)
 std::uint32_t
 Registry::internOwner(std::string_view owner)
 {
-    if (!owners_.empty() && ownerName(owners_.size() - 1) == owner)
-        return static_cast<std::uint32_t>(owners_.size() - 1);
+    if (!owners_.empty() && ownerName(lastOwner_) == owner)
+        return lastOwner_;
+    std::uint32_t hash = hashName(owner);
+    if (!ownerIndex_.empty()) {
+        std::size_t mask = ownerIndex_.size() - 1;
+        for (std::size_t i = hash & mask; ownerIndex_[i] != 0;
+             i = (i + 1) & mask) {
+            std::uint32_t id = ownerIndex_[i] - 1;
+            if (owners_[id].hash == hash && ownerName(id) == owner)
+                return lastOwner_ = id;
+        }
+    }
     owners_.push_back({static_cast<std::uint32_t>(ownerChars_.size()),
-                       static_cast<std::uint32_t>(owner.size())});
+                       static_cast<std::uint32_t>(owner.size()), hash});
     ownerChars_.append(owner);
-    return static_cast<std::uint32_t>(owners_.size() - 1);
+    lastOwner_ = static_cast<std::uint32_t>(owners_.size() - 1);
+    if (2 * owners_.size() > ownerIndex_.size()) {
+        // Keep the index at most half full.
+        ownerIndex_.assign(
+            std::max<std::size_t>(64, 2 * ownerIndex_.size()), 0);
+        for (std::uint32_t id = 0; id < owners_.size(); ++id)
+            indexOwner(id);
+    } else {
+        indexOwner(lastOwner_);
+    }
+    return lastOwner_;
+}
+
+void
+Registry::indexOwner(std::uint32_t id)
+{
+    std::size_t mask = ownerIndex_.size() - 1;
+    std::size_t i = owners_[id].hash & mask;
+    while (ownerIndex_[i] != 0)
+        i = (i + 1) & mask;
+    ownerIndex_[i] = id + 1;
 }
 
 std::string_view

@@ -166,11 +166,14 @@ class Distribution
  *
  * Buckets are logarithmic with 8 linear sub-buckets per power of
  * two (HdrHistogram-style), so relative error is bounded at ~12%
- * across the full 64-bit range. The 496 buckets (3,968 bytes) are
- * allocated by the first sample(); a histogram that is never
- * sampled costs one pointer. Quantiles are answered from the
- * bucket midpoints, which keeps them deterministic across runs — a
- * requirement for the golden-stats suite.
+ * across the full 64-bit range. Of the 496 buckets only the window
+ * [lo, hi] of indices sampled so far is allocated, and a sample
+ * outside it widens the window; a histogram that is never sampled
+ * costs one pointer, and a link's latencies, which span a few
+ * octaves, cost a few dozen counts. reset() zeroes the window and
+ * keeps it. Quantiles are answered from the bucket midpoints, which
+ * keeps them deterministic across runs — a requirement for the
+ * golden-stats suite.
  */
 class Histogram
 {
@@ -191,12 +194,18 @@ class Histogram
     static constexpr unsigned subBucketBits_ = 3;
     static constexpr std::size_t numBuckets_ =
         (64 - subBucketBits_ + 1) << subBucketBits_;
+    static_assert(numBuckets_ - 1 <= UINT16_MAX);
 
     static std::size_t bucketIndex(std::uint64_t v);
     static std::uint64_t bucketMidpoint(std::size_t idx);
 
-    /** numBuckets_ counts; null until the first sample. */
+    /** Widen the window to cover bucket @p idx. */
+    void cover(std::size_t idx);
+
+    /** Counts of buckets lo_..hi_; null until the first sample. */
     std::unique_ptr<std::uint64_t[]> buckets_;
+    std::uint16_t lo_ = 0;
+    std::uint16_t hi_ = 0;
     std::uint64_t samples_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = 0;
@@ -235,9 +244,10 @@ class Literal
  * "system.rootComplex" + "fwdUpRequests" (an empty owner names the
  * stat by its suffix alone).
  *
- * Cost model: add() copies an owner's name once for a run of
- * consecutive adds from that owner and keeps suffix and description
- * by pointer, so registration allocates nothing per stat. The full
+ * Cost model: add() copies each distinct owner name once (a
+ * component created again on the same registry finds its name by
+ * hash) and keeps suffix and description by pointer, so
+ * registration allocates nothing per stat. The full
  * name is hashed into an index at add() time (duplicates panic
  * there, and lookups need no deferred work); full-name strings are
  * built only by dump()/dumpJson(), whose sorted order is cached
@@ -331,6 +341,9 @@ class Registry
     /** Reset every registered statistic to zero. */
     void resetAll();
 
+    /** Bytes of interned owner names (bounded by distinct owners). */
+    std::size_t ownerArenaBytes() const { return ownerChars_.size(); }
+
   private:
     enum class Kind : std::uint8_t
     {
@@ -372,6 +385,7 @@ class Registry
     {
         std::uint32_t offset;
         std::uint32_t len;
+        std::uint32_t hash;
     };
 
     static constexpr std::size_t npos = ~std::size_t{0};
@@ -379,8 +393,10 @@ class Registry
     void insert(std::string_view owner, Literal suffix, Kind kind,
                 void *stat, Literal desc, Unit unit);
 
-    /** Index of the last owner, copying @p owner if it differs. */
+    /** Index of owner @p owner, copying the name on first sight. */
     std::uint32_t internOwner(std::string_view owner);
+    /** Enter owner @p id into ownerIndex_. */
+    void indexOwner(std::uint32_t id);
     std::string_view ownerName(std::uint32_t id) const;
 
     /** Append entry @p e's full name to @p out. */
@@ -419,6 +435,11 @@ class Registry
     std::size_t numEntries_ = 0;
     std::string ownerChars_;
     std::vector<OwnerName> owners_;
+    /** Open-addressed owner-name index: owner id + 1; 0 is empty. */
+    std::vector<std::uint32_t> ownerIndex_;
+    /** The owner interned last: a run of adds from one owner skips
+     *  the index. */
+    std::uint32_t lastOwner_ = 0;
     /** Full-name hash index: chain heads (entry index + 1). */
     std::vector<std::uint32_t> buckets_;
     /** add()'s full-name buffer, reused across calls. */

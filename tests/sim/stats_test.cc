@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 
@@ -548,4 +551,160 @@ TEST(Ticks, ConversionsAreConsistent)
     EXPECT_EQ(2_s, 2000ull * 1000ull * 1000ull * 1000ull);
     EXPECT_DOUBLE_EQ(ticksToSeconds(seconds(3)), 3.0);
     EXPECT_DOUBLE_EQ(ticksToNs(nanoseconds(7)), 7.0);
+}
+
+namespace
+{
+
+/**
+ * The histogram as it was before bucket windows: all 496 buckets,
+ * quantiles walking every one. The windowed Histogram must answer
+ * exactly as this does.
+ */
+class FullHistogram
+{
+  public:
+    void
+    sample(std::uint64_t v, std::uint64_t count)
+    {
+        if (count == 0)
+            return;
+        if (samples_ == 0 || v < min_)
+            min_ = v;
+        max_ = std::max(max_, v);
+        samples_ += count;
+        sum_ += v * count;
+        buckets_[index(v)] += count;
+    }
+
+    std::uint64_t samples() const { return samples_; }
+    std::uint64_t min() const { return samples_ ? min_ : 0; }
+    std::uint64_t max() const { return max_; }
+
+    double
+    mean() const
+    {
+        return samples_ ? static_cast<double>(sum_) /
+                              static_cast<double>(samples_)
+                        : 0.0;
+    }
+
+    std::uint64_t
+    quantile(double q) const
+    {
+        if (samples_ == 0)
+            return 0;
+        auto target = static_cast<std::uint64_t>(
+            q * static_cast<double>(samples_ - 1));
+        std::uint64_t cum = 0;
+        for (std::size_t i = 0; i < buckets_.size(); ++i) {
+            cum += buckets_[i];
+            if (cum > target)
+                return std::clamp(midpoint(i), min_, max_);
+        }
+        return max_;
+    }
+
+    void
+    reset()
+    {
+        buckets_.fill(0);
+        samples_ = sum_ = min_ = max_ = 0;
+    }
+
+  private:
+    static std::size_t
+    index(std::uint64_t v)
+    {
+        if (v < 8)
+            return static_cast<std::size_t>(v);
+        unsigned exp = 63u - static_cast<unsigned>(__builtin_clzll(v));
+        return ((exp - 2u) << 3) + ((v >> (exp - 3)) & 7);
+    }
+
+    static std::uint64_t
+    midpoint(std::size_t idx)
+    {
+        if (idx < 8)
+            return idx;
+        unsigned exp = static_cast<unsigned>(idx >> 3) + 2;
+        std::uint64_t width = 1ull << (exp - 3);
+        return (1ull << exp) + (idx & 7) * width + width / 2;
+    }
+
+    std::array<std::uint64_t, 496> buckets_{};
+    std::uint64_t samples_ = 0;
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = 0;
+    std::uint64_t max_ = 0;
+};
+
+} // namespace
+
+TEST(StatsHistogram, WindowMatchesFullBucketReference)
+{
+    Rng rng(18);
+    for (int stream = 0; stream < 40; ++stream) {
+        Histogram h;
+        FullHistogram ref;
+        // Each stream favours one octave range, so windows start
+        // narrow and widen in both directions; some streams span
+        // the whole 0..2^64 range.
+        unsigned base = static_cast<unsigned>(rng.next() % 60);
+        unsigned spread = 1 + static_cast<unsigned>(rng.next() % 64);
+        for (int i = 0; i < 3000; ++i) {
+            unsigned bits = std::min(
+                64u, base + static_cast<unsigned>(rng.next() % spread));
+            std::uint64_t v =
+                bits == 0 ? 0 : rng.next() >> (64 - bits);
+            std::uint64_t count = rng.next() % 8 == 0
+                                      ? rng.next() % 1000
+                                      : 1;
+            h.sample(v, count);
+            ref.sample(v, count);
+            if (rng.next() % 1500 == 0) {
+                h.reset();
+                ref.reset();
+            }
+            if (i % 100 != 99)
+                continue;
+            ASSERT_EQ(h.samples(), ref.samples());
+            ASSERT_EQ(h.min(), ref.min());
+            ASSERT_EQ(h.max(), ref.max());
+            ASSERT_EQ(h.mean(), ref.mean());
+            for (int q = 0; q <= 100; ++q) {
+                ASSERT_EQ(h.quantile(q / 100.0), ref.quantile(q / 100.0))
+                    << "stream " << stream << " sample " << i
+                    << " q " << q;
+            }
+        }
+    }
+}
+
+TEST(StatsRegistry, RecreatedOwnerReusesItsName)
+{
+    // A component created again on one registry (a workload per dd
+    // run) registers and removes the same owner over and over, with
+    // other owners' adds in between. Its name is stored once.
+    Registry r;
+    Counter keep, other;
+    std::vector<Counter> extra(1000);
+    r.add("system.keep", "count", &keep);
+    std::size_t arena = 0;
+    for (int i = 0; i < 1000; ++i) {
+        r.add("system.workload", "bytes", &other);
+        r.add("system.other" + std::to_string(i % 4), "n", &extra[i]);
+        ASSERT_TRUE(r.remove("system.workload.bytes"));
+        ASSERT_TRUE(r.remove("system.other" + std::to_string(i % 4) +
+                             ".n"));
+        if (i == 10)
+            arena = r.ownerArenaBytes();
+    }
+    EXPECT_EQ(r.ownerArenaBytes(), arena);
+    EXPECT_EQ(arena, std::string("system.keep").size() +
+                         std::string("system.workload").size() +
+                         4 * std::string("system.other0").size());
+    r.add("system.workload", "bytes", &other);
+    EXPECT_EQ(r.counterValue("system.keep.count"), 0u);
+    EXPECT_TRUE(r.has("system.workload.bytes"));
 }
